@@ -1,8 +1,9 @@
 // Micro-benchmarks for the hot paths touched by the kernel overhaul:
 // thread-pool dispatch, the fused SZ predict+quantize pass, canonical
-// Huffman encode/decode, raw bitstream write/read, the byte-shuffle and
-// zlite lossless kernels, ZFP embedded plane coding, chunk-parallel SZ
-// compression across worker counts, and the streaming dump engine.
+// Huffman encode/decode (whole field and checkpoint slabs), raw bitstream
+// write/read, the byte-shuffle and zlite lossless kernels, ZFP embedded
+// plane coding, chunk-parallel SZ compression across worker counts, and
+// the streaming dump engine.
 //
 // Unlike the figure/table benches this is a plain timing harness (no
 // google-benchmark) so it can emit a stable machine-readable summary:
@@ -22,6 +23,9 @@
 //   every other paired kernel: avx2 never worse than scalar beyond a
 //     0.85x noise tolerance
 //   identity: paired outputs bit-identical across dispatch levels
+//   huffman/decode_slab: per-symbol throughput on 32 Ki-symbol slabs at
+//     least 0.5x the whole-field huffman/decode row, at the level the
+//     host runs
 // On scalar-only hosts (or under LCP_FORCE_SCALAR=1) the SIMD gates all
 // pass trivially: there is nothing to compare.
 //
@@ -411,6 +415,82 @@ void bench_fused_pipeline(bool quick, std::vector<std::string>& failures) {
   }
 }
 
+/// Slab-shaped entropy rows: every framed path (streaming dump, strict
+/// restore, incremental store) runs SZ on 32 Ki-element 1-D slabs, where
+/// the per-call table work weighs far more than on a whole field. Each
+/// body codes every 32 Ki slab of a NYX field at 1e-2, the ckpt_stream
+/// shape. Gate: slab decode must reach at least half the whole-field
+/// row's per-symbol throughput at the same dispatch level.
+void bench_huffman_slabs(bool quick, std::vector<std::string>& failures,
+                         double whole_ns_per_symbol) {
+  constexpr std::size_t kSlab = std::size_t{1} << 15;
+  constexpr double kBound = 1e-2;
+  const auto field = lcp::data::generate_nyx(quick ? 64 : 128, 11);
+  const auto values = field.values();
+  const std::size_t slabs = field.element_count() / kSlab;
+  const lcp::sz::LinearQuantizer quantizer{kBound};
+  const lcp::sz::SzCompressor codec{{}};
+  std::vector<std::vector<std::uint32_t>> symbols(slabs);
+  std::vector<std::vector<std::uint8_t>> blobs(slabs);
+  std::vector<std::vector<std::uint8_t>> containers(slabs);
+  for (std::size_t s = 0; s < slabs; ++s) {
+    const auto first = values.begin() + static_cast<std::ptrdiff_t>(s * kSlab);
+    const lcp::data::Field slab{"slab", lcp::data::Dims::d1(kSlab),
+                                std::vector<float>(first, first + kSlab)};
+    std::vector<std::uint32_t> exact;
+    std::vector<float> grid;
+    lcp::sz::predict_quantize_fused(slab.values(), slab.dims().extents(),
+                                    lcp::sz::SzPredictor::kFirstOrder,
+                                    quantizer, symbols[s], exact, grid);
+    auto compressed =
+        codec.compress(slab, lcp::compress::ErrorBound::absolute(kBound));
+    LCP_REQUIRE(compressed.has_value(), "slab compress failed in benchmark");
+    containers[s] = std::move(compressed->container);
+  }
+  const std::size_t count = slabs * kSlab;
+  const std::size_t bytes = count * sizeof(std::uint32_t);
+
+  run_case("huffman/encode_slab", quick ? 5 : 7, bytes, 0, [&] {
+    for (std::size_t s = 0; s < slabs; ++s) {
+      blobs[s] = lcp::sz::huffman_encode(symbols[s], quantizer.alphabet_size());
+    }
+  });
+
+  std::vector<std::uint32_t> decoded;
+  bool identical = true;
+  const auto dec = run_paired("huffman/decode_slab", quick ? 5 : 7, bytes, [&] {
+    for (std::size_t s = 0; s < slabs; ++s) {
+      const auto status =
+          lcp::sz::huffman_decode_into(blobs[s], kSlab, decoded);
+      LCP_REQUIRE(status.is_ok(), "huffman slab decode failed in benchmark");
+      identical = identical && decoded == symbols[s];
+    }
+  });
+  gate_identity(failures, "huffman/decode_slab", identical);
+  const double slab_ns_per_symbol = dec.simd_ns / static_cast<double>(count);
+  const double relative = whole_ns_per_symbol / slab_ns_per_symbol;
+  std::printf("  huffman/decode_slab: %.2fx the whole-field per-symbol rate\n",
+              relative);
+  if (relative < 0.5) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "huffman/decode_slab per-symbol throughput %.2fx of the "
+                  "whole-field row, below the 0.50x gate",
+                  relative);
+    failures.emplace_back(buf);
+  }
+
+  const auto sz_dec = run_paired(
+      "sz/decompress_slab", quick ? 5 : 7, count * sizeof(float), [&] {
+        for (const auto& container : containers) {
+          const auto restored = codec.decompress(container);
+          LCP_REQUIRE(restored.has_value(),
+                      "sz slab decompress failed in benchmark");
+        }
+      });
+  gate_never_worse(failures, "sz/decompress_slab", sz_dec);
+}
+
 void bench_huffman(bool quick, std::vector<std::string>& failures) {
   // Production-shaped symbols: the quantization codes of a real Nyx field,
   // whose ~8-bit average code length is exactly what the wide-window
@@ -449,6 +529,8 @@ void bench_huffman(bool quick, std::vector<std::string>& failures) {
                   status.is_ok() && decoded_s == symbols &&
                       decoded == symbols);
   }
+  bench_huffman_slabs(quick, failures,
+                      dec.simd_ns / static_cast<double>(count));
 }
 
 void bench_bitstream(bool quick) {

@@ -156,6 +156,69 @@ void decode_slabs(const FrameRecovery& rec, const Manifest& manifest,
   }
 }
 
+/// Decodes a walked checkpoint frame: manifest (or its replica), then every
+/// slab, with per-slab verdicts filled per `policy`. Shared by
+/// recover_checkpoint and read_checkpoint, so the strict reader walks and
+/// checksums the frame only once.
+Expected<RecoveryReport> decode_checkpoint(const FrameRecovery& rec,
+                                           const RecoveryPolicy& policy) {
+  if ((rec.info.flags & kFrameFlagCheckpoint) == 0) {
+    return Status::invalid_argument(
+        "frame is not a checkpoint (flag missing)");
+  }
+  if (rec.info.chunk_count < 2) {
+    return Status::corrupt_data("checkpoint has no manifest chunks");
+  }
+
+  RecoveryReport report;
+  report.header_from_replica = rec.header_from_replica;
+
+  // Manifest: chunk 0, or its replica in the last chunk.
+  Expected<Manifest> manifest =
+      Status::corrupt_data("manifest chunk lost");
+  if (rec.chunks.front().state == ChunkState::kIntact) {
+    manifest = parse_manifest(rec.chunks.front().payload);
+  }
+  if (!manifest && rec.chunks.back().state == ChunkState::kIntact) {
+    manifest = parse_manifest(rec.chunks.back().payload);
+    if (manifest) {
+      report.manifest_from_replica = true;
+    }
+  }
+  if (!manifest) {
+    return manifest.status().with_context(
+        "both manifest copies unreadable");
+  }
+  if (manifest->slab_count + 2 != rec.info.chunk_count) {
+    return Status::corrupt_data(
+        "manifest slab count inconsistent with frame chunk count");
+  }
+
+  const std::size_t n = manifest->dims.element_count();
+  report.total_elements = n;
+  std::vector<float> out(n, 0.0F);
+  decode_slabs(rec, *manifest, out, report);
+
+  for (const auto& v : report.slabs) {
+    if (!v.recovered) {
+      report.lost_elements += v.element_count;
+    }
+  }
+  if (policy.fail_on_any_loss && report.lost_elements > 0) {
+    for (const auto& v : report.slabs) {
+      if (!v.recovered) {
+        return v.status.with_context("recover_checkpoint (strict policy)");
+      }
+    }
+  }
+  if (policy.fill == RecoveryFill::kInterpolate) {
+    interpolate_lost(out, report.slabs);
+  }
+  report.field =
+      data::Field{manifest->field_name, manifest->dims, std::move(out)};
+  return report;
+}
+
 }  // namespace
 
 void interpolate_lost_regions(std::span<float> out,
@@ -305,61 +368,7 @@ Expected<RecoveryReport> recover_checkpoint(
   if (!rec) {
     return rec.status().with_context("recover_checkpoint");
   }
-  if ((rec->info.flags & kFrameFlagCheckpoint) == 0) {
-    return Status::invalid_argument(
-        "frame is not a checkpoint (flag missing)");
-  }
-  if (rec->info.chunk_count < 2) {
-    return Status::corrupt_data("checkpoint has no manifest chunks");
-  }
-
-  RecoveryReport report;
-  report.header_from_replica = rec->header_from_replica;
-
-  // Manifest: chunk 0, or its replica in the last chunk.
-  Expected<Manifest> manifest =
-      Status::corrupt_data("manifest chunk lost");
-  if (rec->chunks.front().state == ChunkState::kIntact) {
-    manifest = parse_manifest(rec->chunks.front().payload);
-  }
-  if (!manifest && rec->chunks.back().state == ChunkState::kIntact) {
-    manifest = parse_manifest(rec->chunks.back().payload);
-    if (manifest) {
-      report.manifest_from_replica = true;
-    }
-  }
-  if (!manifest) {
-    return manifest.status().with_context(
-        "both manifest copies unreadable");
-  }
-  if (manifest->slab_count + 2 != rec->info.chunk_count) {
-    return Status::corrupt_data(
-        "manifest slab count inconsistent with frame chunk count");
-  }
-
-  const std::size_t n = manifest->dims.element_count();
-  report.total_elements = n;
-  std::vector<float> out(n, 0.0F);
-  decode_slabs(*rec, *manifest, out, report);
-
-  for (const auto& v : report.slabs) {
-    if (!v.recovered) {
-      report.lost_elements += v.element_count;
-    }
-  }
-  if (policy.fail_on_any_loss && report.lost_elements > 0) {
-    for (const auto& v : report.slabs) {
-      if (!v.recovered) {
-        return v.status.with_context("recover_checkpoint (strict policy)");
-      }
-    }
-  }
-  if (policy.fill == RecoveryFill::kInterpolate) {
-    interpolate_lost(out, report.slabs);
-  }
-  report.field =
-      data::Field{manifest->field_name, manifest->dims, std::move(out)};
-  return report;
+  return decode_checkpoint(*rec, policy);
 }
 
 Expected<data::Field> read_checkpoint(std::span<const std::uint8_t> bytes) {
@@ -389,7 +398,7 @@ Expected<data::Field> read_checkpoint(std::span<const std::uint8_t> bytes) {
 
   RecoveryPolicy strict;
   strict.fail_on_any_loss = true;
-  auto report = recover_checkpoint(bytes, strict);
+  auto report = decode_checkpoint(*rec, strict);
   if (!report) {
     return report.status();
   }

@@ -1,11 +1,14 @@
 #pragma once
 // Canonical Huffman coder for SZ quantization codes.
 //
-// Encoding: build per-symbol lengths from frequencies (package-merge-free
-// heap construction with a 32-bit length cap enforced by frequency
+// Encoding: build code lengths over the symbols the input uses (Huffman
+// tree construction with a 32-bit length cap enforced by frequency
 // flattening), derive canonical codes, serialize the length table with RLE,
-// then emit the symbol stream. Decoding rebuilds the canonical table and
-// walks the bit stream length-by-length.
+// then emit the symbol stream. Decoding parses the RLE runs of used
+// symbols, rebuilds the canonical tables from them and decodes through a
+// lookup table (two symbols per probe under AVX2), resolving codes longer
+// than the table from the canonical tables. Table work follows the
+// symbols used, not the alphabet size.
 
 #include <cstdint>
 #include <span>

@@ -1,33 +1,157 @@
 #include "core/streaming_dump.hpp"
 
-#include <algorithm>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "compress/common/framing.hpp"
 #include "compress/common/registry.hpp"
-#include "support/bounded_queue.hpp"
-#include "support/scoped_thread.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/timer.hpp"
 
 namespace lcp::core {
 namespace {
 
-/// One compressed slab in flight between the compress stage and the
-/// writer. Slabs finish out of order on the pool; `index` lets the writer
-/// restore slab order before framing (the payload CRC is order-sensitive).
-struct CompressedSlab {
-  std::size_t index = 0;
-  std::vector<std::uint8_t> container;
-};
+/// The frame parameters write_checkpoint uses.
+compress::FrameParams checkpoint_frame() {
+  compress::FrameParams params;
+  params.flags = compress::kFrameFlagCheckpoint;
+  return params;
+}
 
-/// First failure among the parallel compression producers. Any worker may
-/// lose the race to report; the first error wins and the rest are dropped
-/// (they are all downstream casualties of the same abort).
-struct ProducerState {
-  Mutex mutex;
-  Status status LCP_GUARDED_BY(mutex) = Status::ok();
+/// Ships compressed slabs to the stream in slab order, from the threads
+/// that compress them. Slabs finish out of order on the pool; each one is
+/// parked here, and the thread that finds the next slab in order parked
+/// takes the shipping role and ships every consecutive parked slab while
+/// the other threads keep compressing. Shipping thus runs on a thread
+/// that already holds a CPU, and the dump uses no thread beyond the pool
+/// and the caller. (With a dedicated writer thread, the dump's wall time
+/// would depend on whether the host has a spare CPU for that thread at
+/// every hand-off.)
+///
+/// The role passes between threads under `mutex_`; the frame writer, the
+/// stream and the write timer are touched only by the role's holder (or
+/// by the caller before and after the parallel loop), so they need no
+/// lock of their own.
+class OrderedShipper {
+ public:
+  OrderedShipper(io::NfsClient::FileStream& stream, std::size_t capacity)
+      : stream_(stream), capacity_(capacity) {}
+
+  /// Frames `chunk` and ships what the frame emitted. Callers hold the
+  /// shipping role, or run before or after the parallel loop.
+  Status ship_chunk(std::span<const std::uint8_t> chunk) {
+    framed_.append_chunk(chunk);
+    return ship(framed_.take_emitted());
+  }
+
+  /// Ships raw bytes at the running offset (the placeholder header).
+  Status ship(std::span<const std::uint8_t> bytes) {
+    Timer t;
+    const Status st = stream_.append(bytes);
+    write_seconds_ = write_seconds_ + t.elapsed();
+    return st;
+  }
+
+  /// Overwrites the placeholder header at offset 0.
+  Status patch_header(std::span<const std::uint8_t> header) {
+    Timer t;
+    const Status st = stream_.write_at(0, header);
+    write_seconds_ = write_seconds_ + t.elapsed();
+    return st;
+  }
+
+  /// Parks slab `index`. If it completes the run of slabs next in order
+  /// and no thread is shipping, this thread takes the shipping role and
+  /// ships parked slabs in order until the next one is missing, releasing
+  /// the lock while each slab ships. Otherwise it returns at once, unless
+  /// `capacity` slabs already wait in order for the shipping thread: then
+  /// it waits for them to drain, so a slow wire stalls compression rather
+  /// than buffering the dump.
+  void deliver(std::size_t index, std::vector<std::uint8_t> container) {
+    MutexLock lock{mutex_};
+    if (!status_.is_ok()) {
+      return;
+    }
+    parked_.emplace(index, std::move(container));
+    ++delivered_;
+    while (status_.is_ok() && shipping_ && backlog_full()) {
+      cv_.wait(lock);
+    }
+    if (!status_.is_ok() || shipping_ || !parked_.contains(next_)) {
+      return;  // failed, or another thread will ship this slab
+    }
+    shipping_ = true;
+    for (auto it = parked_.find(next_); it != parked_.end();
+         it = parked_.find(next_)) {
+      const std::vector<std::uint8_t> slab = std::move(it->second);
+      parked_.erase(it);
+      ++next_;
+      cv_.notify_all();
+      lock.unlock();
+      const Status st = ship_chunk(slab);
+      lock.lock();
+      if (!st.is_ok()) {
+        if (status_.is_ok()) {
+          status_ = st;
+        }
+        break;
+      }
+    }
+    shipping_ = false;
+    cv_.notify_all();
+  }
+
+  /// Records the first failure; later deliveries are dropped and waiting
+  /// threads return.
+  void fail(const Status& st) {
+    const MutexLock lock{mutex_};
+    if (status_.is_ok()) {
+      status_ = st;
+    }
+    cv_.notify_all();
+  }
+
+  [[nodiscard]] Status status() const {
+    const MutexLock lock{mutex_};
+    return status_;
+  }
+  [[nodiscard]] std::size_t shipped() const {
+    const MutexLock lock{mutex_};
+    return next_;
+  }
+  [[nodiscard]] std::uint64_t delivered() const {
+    const MutexLock lock{mutex_};
+    return delivered_;
+  }
+
+  compress::FramedWriter& framed() { return framed_; }
+  [[nodiscard]] Seconds write_seconds() const { return write_seconds_; }
+
+ private:
+  /// True when `capacity_` slabs from `next_` on are parked.
+  bool backlog_full() const LCP_REQUIRES(mutex_) {
+    for (std::size_t k = 0; k < capacity_; ++k) {
+      if (!parked_.contains(next_ + k)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  io::NfsClient::FileStream& stream_;
+  const std::size_t capacity_;
+  compress::FramedWriter framed_{checkpoint_frame()};
+  Seconds write_seconds_{0.0};
+
+  mutable Mutex mutex_;
+  CondVar cv_;
+  std::map<std::size_t, std::vector<std::uint8_t>> parked_
+      LCP_GUARDED_BY(mutex_);
+  std::size_t next_ LCP_GUARDED_BY(mutex_) = 0;
+  std::uint64_t delivered_ LCP_GUARDED_BY(mutex_) = 0;
+  bool shipping_ LCP_GUARDED_BY(mutex_) = false;
+  Status status_ LCP_GUARDED_BY(mutex_) = Status::ok();
 };
 
 }  // namespace
@@ -57,91 +181,24 @@ Expected<StreamingDumpStats> streaming_dump(const data::Field& field,
   stats.input_bytes = field.size_bytes();
   stats.slab_seconds.assign(slab_count, Seconds{0.0});
 
-  BoundedQueue<CompressedSlab> queue{config.queue_capacity};
-  ProducerState producer;
-  // Written by the writer thread only, read after join() (which supplies
-  // the happens-before edge); needs no lock.
-  Status writer_status = Status::ok();
-  std::size_t slabs_shipped = 0;
+  auto stream = client.begin_file_stream(path);
+  OrderedShipper shipper{stream, config.queue_capacity};
 
-  ScopedThread writer([&] {
-    compress::FrameParams params;
-    params.flags = compress::kFrameFlagCheckpoint;
-    compress::FramedWriter framed{params};
-    auto stream = client.begin_file_stream(path);
-
-    Seconds write_seconds{0.0};
-    const auto ship = [&](std::span<const std::uint8_t> bytes) -> Status {
-      Timer t;
-      const Status st = stream.append(bytes);
-      write_seconds = write_seconds + t.elapsed();
-      return st;
-    };
-
-    // Placeholder header: its chunk count and payload CRC are only known
-    // after the last chunk, so real bytes are back-patched at the end.
-    const std::vector<std::uint8_t> zeros(compress::kFrameHeaderBytes, 0);
-    Status st = ship(zeros);
-    if (st.is_ok()) {
-      framed.append_chunk(*manifest_bytes);
-      st = ship(framed.take_emitted());
-    }
-
-    // Restore slab order: the pool delivers slabs as they finish, the
-    // frame (and its order-sensitive payload CRC) needs them sequential.
-    std::map<std::size_t, CompressedSlab> reorder;
-    std::size_t next = 0;
-    while (st.is_ok()) {
-      auto item = queue.pop();
-      if (!item) {
-        break;  // closed and drained
-      }
-      reorder.emplace(item->index, std::move(*item));
-      for (auto it = reorder.find(next);
-           st.is_ok() && it != reorder.end();
-           it = reorder.find(next)) {
-        framed.append_chunk(it->second.container);
-        reorder.erase(it);
-        ++next;
-        st = ship(framed.take_emitted());
-      }
-    }
-
-    if (st.is_ok() && next == slab_count) {
-      framed.append_chunk(*manifest_bytes);  // trailing replica
-      auto tail = framed.finish_streaming();
-      st = ship(tail.body);
-      if (st.is_ok()) {
-        st = ship(tail.trailer);
-      }
-      if (st.is_ok()) {
-        Timer t;
-        st = stream.write_at(0, tail.header);
-        write_seconds = write_seconds + t.elapsed();
-      }
-      if (st.is_ok()) {
-        st = stream.finish();
-      }
-      stats.frame_chunks = framed.chunks_emitted();
-      stats.payload_bytes = Bytes{framed.payload_bytes()};
-      stats.wire_bytes = Bytes{stream.bytes_written()};
-      slabs_shipped = next;
-    } else if (st.is_ok()) {
-      // Queue closed before every slab arrived: a producer failed and its
-      // status carries the real error.
-      st = Status::internal("streaming dump: pipeline aborted upstream");
-    }
-    stats.write_seconds = write_seconds;
-    writer_status = st;
-    if (!st.is_ok()) {
-      queue.close();  // unblock producers stuck on a full queue
-    }
-  });
+  // Placeholder header: its chunk count and payload CRC are only known
+  // after the last chunk, so real bytes are back-patched at the end.
+  const std::vector<std::uint8_t> zeros(compress::kFrameHeaderBytes, 0);
+  Status st = shipper.ship(zeros);
+  if (st.is_ok()) {
+    st = shipper.ship_chunk(*manifest_bytes);
+  }
+  if (!st.is_ok()) {
+    return st.with_context("streaming_dump");
+  }
 
   pool.parallel_for(
       0, slab_count,
       [&](std::size_t s) {
-        if (queue.closed()) {
+        if (!shipper.status().is_ok()) {
           return;  // pipeline already aborted; skip the remaining work
         }
         Timer t;
@@ -150,39 +207,49 @@ Expected<StreamingDumpStats> streaming_dump(const data::Field& field,
                                                **codec);
         const Seconds elapsed = t.elapsed();
         if (!container) {
-          {
-            const MutexLock lock{producer.mutex};
-            if (producer.status.is_ok()) {
-              producer.status = container.status();
-            }
-          }
-          queue.close();
+          shipper.fail(container.status());
           return;
         }
         stats.slab_seconds[s] = elapsed;
-        (void)queue.push({s, std::move(*container)});
+        shipper.deliver(s, std::move(*container));
       },
       /*grain=*/1);
-  queue.close();
-  writer.join();
 
-  Status producer_status = Status::ok();
-  {
-    const MutexLock lock{producer.mutex};
-    producer_status = producer.status;
+  // parallel_for has joined every thread that shipped, so the caller now
+  // owns the frame writer and the stream.
+  st = shipper.status();
+  if (st.is_ok() && shipper.shipped() != slab_count) {
+    st = Status::internal("streaming dump: slabs left unshipped");
   }
-  if (!producer_status.is_ok()) {
-    return producer_status.with_context("streaming_dump");
+  if (st.is_ok()) {
+    compress::FramedWriter& framed = shipper.framed();
+    st = shipper.ship_chunk(*manifest_bytes);  // trailing replica
+    auto tail = framed.finish_streaming();
+    if (st.is_ok()) {
+      st = shipper.ship(tail.body);
+    }
+    if (st.is_ok()) {
+      st = shipper.ship(tail.trailer);
+    }
+    if (st.is_ok()) {
+      st = shipper.patch_header(tail.header);
+    }
+    if (st.is_ok()) {
+      st = stream.finish();
+    }
+    stats.frame_chunks = framed.chunks_emitted();
+    stats.payload_bytes = Bytes{framed.payload_bytes()};
+    stats.wire_bytes = Bytes{stream.bytes_written()};
   }
-  if (!writer_status.is_ok()) {
-    return writer_status.with_context("streaming_dump");
+  if (!st.is_ok()) {
+    return st.with_context("streaming_dump");
   }
-  (void)slabs_shipped;
 
+  stats.write_seconds = shipper.write_seconds();
   for (const Seconds s : stats.slab_seconds) {
     stats.compress_seconds = stats.compress_seconds + s;
   }
-  stats.queue_pushes = queue.total_pushed();
+  stats.queue_pushes = shipper.delivered();
   stats.wall_seconds = wall_timer.elapsed();
   return stats;
 }

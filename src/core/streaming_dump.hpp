@@ -2,18 +2,22 @@
 // Streaming dump engine: parallel slab compression overlapped with framed
 // NFS writes. The serial dump path compresses the whole field, frames it,
 // and only then starts writing; this engine runs the two stages as a
-// pipeline over a bounded queue so slab i's frame chunk is on the wire
-// while slab i+1 is still compressing.
+// pipeline so slab i's frame chunk is on the wire while slab i+1 is still
+// compressing.
 //
-//   compress workers (ThreadPool, out of order)
-//        |  CompressedSlab{index, container}
+//   pool threads + caller (ThreadPool::parallel_for, out of order)
+//        |  compress slab s, park it by index
 //        v
-//   BoundedQueue (capacity = queue_capacity, backpressure to workers)
-//        |
-//        v
-//   writer thread: reorders to slab order -> FramedWriter.append_chunk
-//                  -> take_emitted() -> NfsClient::FileStream::append
-//                  -> finally back-patches the frame header at offset 0
+//   in-order shipping role: the thread that parks the next slab in order
+//   takes it (if free) and ships every consecutive parked slab
+//        -> FramedWriter.append_chunk -> take_emitted()
+//        -> NfsClient::FileStream::append
+//   caller, after the loop: trailing manifest, frame tail, back-patch of
+//   the frame header at offset 0
+//
+// Shipping runs on the compressing threads, one at a time, while the
+// others keep compressing; the dump starts no thread of its own, so its
+// CPU demand is the pool's and the caller's.
 //
 // The bytes that land on the server are byte-identical to
 // compress::write_checkpoint(field, options) — same manifest chunk 0,
@@ -42,8 +46,9 @@ struct StreamingDumpConfig {
   /// Codec, bound and slab size — the wire format contract is shared with
   /// compress::write_checkpoint.
   compress::CheckpointOptions checkpoint;
-  /// Bounded-queue capacity in slabs: how far compression may run ahead
-  /// of the writer before backpressure stalls the workers.
+  /// Backpressure bound in slabs: when this many compressed slabs wait in
+  /// order for the shipping thread, a thread that finishes another slab
+  /// waits for them to drain before it compresses more.
   std::size_t queue_capacity = 4;
 };
 
@@ -53,12 +58,12 @@ struct StreamingDumpStats {
   Bytes payload_bytes;  ///< framed payload (manifest + slabs + replica)
   Bytes wire_bytes;     ///< bytes put on the wire, incl. placeholder header
   std::uint32_t frame_chunks = 0;
-  std::uint64_t queue_pushes = 0;
+  std::uint64_t queue_pushes = 0;  ///< compressed slabs handed to shipping
   /// Per-slab compression wall time, in slab order (worker-measured, so
   /// contention on an oversubscribed host is included).
   std::vector<Seconds> slab_seconds;
   Seconds compress_seconds{0.0};  ///< sum of slab_seconds
-  Seconds write_seconds{0.0};     ///< writer-thread time spent in appends
+  Seconds write_seconds{0.0};     ///< time spent in stream writes
   Seconds wall_seconds{0.0};      ///< end-to-end engine wall time
 };
 

@@ -16,7 +16,7 @@
 //   SlabPool        — mutex-protected pool of byte buffers shared across
 //                     threads, used by the streaming dump engine to recycle
 //                     compressed-slab buffers between the producer (pool
-//                     workers) and the writer thread.
+//                     workers) and the thread that ships them.
 //
 // Released buffers are poisoned (first kPoisonBytes overwritten with
 // kPoisonByte) so use-after-release reads deterministic garbage instead of
@@ -125,8 +125,8 @@ class ScratchLease {
 };
 
 /// Cross-thread pool of byte buffers (compressed slabs in the streaming
-/// dump pipeline). The writer thread releases each slab after it hits the
-/// wire and a compression worker reuses it for a later slab, bounding the
+/// dump pipeline). The shipping thread releases each slab after it hits
+/// the wire and a compression worker reuses it for a later slab, bounding the
 /// pipeline's allocation footprint at (depth + workers) slabs.
 class SlabPool {
  public:

@@ -1,7 +1,7 @@
 #pragma once
 // Join-on-destruction thread handle. The only std::thread owners outside
-// src/support/ should be gone: pipeline stages (e.g. the streaming dump
-// writer) hold a ScopedThread instead, so an early return or an exception
+// src/support/ should be gone: pipeline stages and concurrent tests hold
+// a ScopedThread instead, so an early return or an exception
 // between spawn and join can never leak a running thread over dangling
 // stack references (std::thread would call std::terminate; ScopedThread
 // blocks until the stage drains). tools/lint.py enforces the "no naked

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
+#include <string>
 #include <vector>
 
+#include "compress/simd/dispatch.hpp"
+#include "support/bitstream.hpp"
+#include "support/bytestream.hpp"
 #include "support/rng.hpp"
 
 namespace lcp::sz {
@@ -144,8 +151,9 @@ TEST(HuffmanTest, GeometricHistogramYieldsPathTreeDepths) {
 
 TEST(HuffmanTest, DeepCodesBeyondDecodeTableRoundTrip) {
   // The geometric histogram produces code lengths up to 15 bits — past the
-  // decoder's 11-bit primary table — so this round-trip exercises the
-  // canonical fallback path alongside the table fast path.
+  // scalar decoder's 11-bit table and the AVX2 decoder's 12-bit window —
+  // so this round-trip exercises the long-code path alongside the table
+  // fast path.
   constexpr std::size_t kSymbols = 16;
   std::vector<std::uint32_t> symbols;
   for (std::uint32_t s = 0; s < kSymbols; ++s) {
@@ -160,6 +168,311 @@ TEST(HuffmanTest, DeepCodesBeyondDecodeTableRoundTrip) {
   const auto decoded = huffman_decode(blob, symbols.size());
   ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
   EXPECT_EQ(*decoded, symbols);
+}
+
+
+// --- Sparse table build and window width properties -----------------------
+
+using simd::ScopedSimdLevel;
+using simd::SimdLevel;
+
+constexpr std::uint32_t kSzAlphabet = 65536;
+
+/// The dense reference build: a min-heap over every symbol of the alphabet,
+/// internal nodes numbered after the alphabet, the same halving cap. The
+/// encoder's sparse build must reproduce its lengths exactly.
+std::vector<std::uint8_t> reference_lengths(
+    const std::vector<std::uint64_t>& freq) {
+  struct Node {
+    std::uint64_t weight;
+    std::uint32_t index;
+    bool operator>(const Node& o) const {
+      return weight != o.weight ? weight > o.weight : index > o.index;
+    }
+  };
+  const auto n = static_cast<std::uint32_t>(freq.size());
+  std::vector<std::uint64_t> work = freq;
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    std::vector<std::uint8_t> lengths(n, 0);
+    std::vector<std::uint32_t> parent(n, UINT32_MAX);
+    std::priority_queue<Node, std::vector<Node>, std::greater<>> heap;
+    std::uint32_t last = 0;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      if (work[s] > 0) {
+        heap.push({work[s], s});
+        last = s;
+      }
+    }
+    if (heap.size() <= 1) {
+      if (!heap.empty()) {
+        lengths[last] = 1;
+      }
+      return lengths;
+    }
+    while (heap.size() > 1) {
+      const Node a = heap.top();
+      heap.pop();
+      const Node b = heap.top();
+      heap.pop();
+      const auto node = static_cast<std::uint32_t>(parent.size());
+      parent.push_back(UINT32_MAX);
+      parent[a.index] = node;
+      parent[b.index] = node;
+      heap.push({a.weight + b.weight, node});
+    }
+    std::vector<unsigned> depth(parent.size(), 0);
+    for (std::size_t idx = parent.size(); idx-- > 0;) {
+      if (parent[idx] != UINT32_MAX) {
+        depth[idx] = depth[parent[idx]] + 1;
+      }
+    }
+    unsigned deepest = 0;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      if (work[s] > 0) {
+        lengths[s] = static_cast<std::uint8_t>(std::min(depth[s], 255u));
+        deepest = std::max(deepest, depth[s]);
+      }
+    }
+    if (deepest <= 32) {
+      return lengths;
+    }
+    for (auto& w : work) {
+      w = w > 0 ? (w + 1) / 2 : 0;
+    }
+  }
+  unsigned bits = 1;
+  while ((std::size_t{1} << bits) < freq.size()) {
+    ++bits;
+  }
+  std::vector<std::uint8_t> lengths(n, 0);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (freq[s] > 0) {
+      lengths[s] = static_cast<std::uint8_t>(bits);
+    }
+  }
+  return lengths;
+}
+
+/// Builds a stream in the huffman_encode layout from explicit code lengths
+/// (one per alphabet symbol, 0 = unused), so tests reach code lengths and
+/// length tables that test-sized histograms never produce.
+std::vector<std::uint8_t> encode_with_lengths(
+    const std::vector<std::uint8_t>& lengths,
+    const std::vector<std::uint32_t>& symbols) {
+  std::vector<std::uint64_t> count(34, 0);
+  for (std::uint8_t l : lengths) {
+    if (l > 0) {
+      ++count[l];
+    }
+  }
+  std::vector<std::uint64_t> next(34, 0);
+  std::uint64_t code = 0;
+  for (unsigned l = 1; l <= 32; ++l) {
+    code = (code + count[l - 1]) << 1;
+    next[l] = code;
+  }
+  std::vector<std::uint64_t> reversed(lengths.size(), 0);
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    const unsigned len = lengths[s];
+    const std::uint64_t c = len > 0 ? next[len]++ : 0;
+    for (unsigned b = 0; b < len; ++b) {
+      reversed[s] |= ((c >> b) & 1) << (len - 1 - b);
+    }
+  }
+  ByteWriter out;
+  out.write_u32(static_cast<std::uint32_t>(lengths.size()));
+  out.write_u64(symbols.size());
+  std::vector<std::pair<std::uint8_t, std::uint32_t>> runs;
+  for (std::uint8_t l : lengths) {
+    if (!runs.empty() && runs.back().first == l) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(l, 1);
+    }
+  }
+  out.write_u32(static_cast<std::uint32_t>(runs.size()));
+  for (const auto& [len, n] : runs) {
+    out.write_u8(len);
+    out.write_u32(n);
+  }
+  BitWriter bits;
+  for (std::uint32_t s : symbols) {
+    bits.write_bits(reversed[s], lengths[s]);
+  }
+  const auto payload = bits.finish();
+  out.write_u64(payload.size());
+  out.write_bytes(payload);
+  return out.finish();
+}
+
+/// Decodes `blob` at both dispatch levels; each must return `symbols`.
+void expect_decodes_at_both_levels(const std::vector<std::uint8_t>& blob,
+                                   const std::vector<std::uint32_t>& symbols) {
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    ScopedSimdLevel guard{level};
+    SCOPED_TRACE(simd::simd_level_name(simd::simd_level()));
+    std::vector<std::uint32_t> out;
+    const auto status = huffman_decode_into(blob, symbols.size(), out);
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+    EXPECT_EQ(out, symbols);
+  }
+}
+
+/// `used` distinct symbols scattered over the SZ alphabet.
+std::vector<std::uint32_t> scattered_symbols(std::size_t used, Rng& rng) {
+  std::vector<std::uint32_t> pool(kSzAlphabet);
+  for (std::uint32_t s = 0; s < kSzAlphabet; ++s) {
+    pool[s] = s;
+  }
+  for (std::size_t i = 0; i < used; ++i) {
+    std::swap(pool[i], pool[i + rng.uniform_index(kSzAlphabet - i)]);
+  }
+  pool.resize(used);
+  return pool;
+}
+
+TEST(HuffmanTest, SparseBuildMatchesDenseReference) {
+  Rng rng{101};
+  for (std::size_t used : {1u, 2u, 500u, 30000u}) {
+    SCOPED_TRACE("used " + std::to_string(used));
+    const auto chosen = scattered_symbols(used, rng);
+    // Narrow weight ranges force many equal weights, so the tie-breaks
+    // between symbols and internal nodes decide the tree shape.
+    for (std::uint64_t spread : {1u, 3u, 1000u}) {
+      std::vector<std::uint64_t> freq(kSzAlphabet, 0);
+      for (std::uint32_t s : chosen) {
+        freq[s] = 1 + rng.uniform_index(spread);
+      }
+      EXPECT_EQ(huffman_code_lengths(freq), reference_lengths(freq));
+    }
+  }
+  // Fibonacci weights drive the tree past 32 levels, so both builds take
+  // the halving path.
+  std::vector<std::uint64_t> freq(kSzAlphabet, 0);
+  std::uint64_t fa = 1;
+  std::uint64_t fb = 1;
+  for (std::uint32_t i = 0; i < 45; ++i) {
+    freq[1000 + 997 * i] = fa;
+    const std::uint64_t next = fa + fb;
+    fb = fa;
+    fa = next;
+  }
+  const auto lengths = huffman_code_lengths(freq);
+  EXPECT_LE(*std::max_element(lengths.begin(), lengths.end()), 32u);
+  EXPECT_EQ(lengths, reference_lengths(freq));
+}
+
+TEST(HuffmanTest, SparseAlphabetsRoundTripAtBothLevels) {
+  Rng rng{202};
+  for (std::size_t used : {1u, 2u, 500u, 30000u}) {
+    const auto chosen = scattered_symbols(used, rng);
+    for (std::size_t count :
+         {std::size_t{0}, std::size_t{1}, std::size_t{1000},
+          std::size_t{1} << 15, std::size_t{1} << 17}) {
+      SCOPED_TRACE("used " + std::to_string(used) + " count " +
+                   std::to_string(count));
+      std::vector<std::uint32_t> symbols(count);
+      std::vector<std::uint64_t> freq(kSzAlphabet, 0);
+      for (auto& s : symbols) {
+        const double u = rng.uniform();
+        s = chosen[static_cast<std::size_t>(u * u * u *
+                                            static_cast<double>(used))];
+        ++freq[s];
+      }
+      const auto blob = huffman_encode(symbols, kSzAlphabet);
+      // The blob is exactly the canonical layout of the reference lengths.
+      EXPECT_EQ(blob, encode_with_lengths(reference_lengths(freq), symbols));
+      expect_decodes_at_both_levels(blob, symbols);
+    }
+  }
+}
+
+TEST(HuffmanTest, CodeLengthsUpTo32BitsDecodeAtBothLevels) {
+  // One symbol of every length 1..31 plus two of length 32: a complete
+  // code whose lengths straddle the scalar 11-bit table and the AVX2
+  // 12-bit window and reach the 32-bit cap. Symbols are drawn uniformly,
+  // so long codes are as common as short ones.
+  std::vector<std::uint8_t> lengths(kSzAlphabet, 0);
+  for (unsigned l = 1; l <= 32; ++l) {
+    lengths[1000 + 1900 * l] = static_cast<std::uint8_t>(l);
+  }
+  lengths[1000 + 1900 * 33] = 32;
+  std::vector<std::uint32_t> alphabet_used;
+  for (std::uint32_t s = 0; s < kSzAlphabet; ++s) {
+    if (lengths[s] > 0) {
+      alphabet_used.push_back(s);
+    }
+  }
+  // A three-symbol code (lengths 1, 2, 2) caps the window at twice its
+  // longest code.
+  std::vector<std::uint8_t> short_lengths(kSzAlphabet, 0);
+  short_lengths[7] = 2;
+  short_lengths[32768] = 1;
+  short_lengths[65535] = 2;
+  const std::vector<std::uint32_t> short_used = {7, 32768, 65535};
+
+  Rng rng{303};
+  // Every count holds at least as many symbols as the codes list (a
+  // genuine table never lists an unused symbol).
+  for (std::size_t count : {std::size_t{100}, std::size_t{1} << 12,
+                            std::size_t{1} << 15, std::size_t{1} << 17}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    std::vector<std::uint32_t> symbols(count);
+    for (auto& s : symbols) {
+      s = alphabet_used[rng.uniform_index(alphabet_used.size())];
+    }
+    expect_decodes_at_both_levels(encode_with_lengths(lengths, symbols),
+                                  symbols);
+    for (auto& s : symbols) {
+      s = short_used[rng.uniform_index(short_used.size())];
+    }
+    expect_decodes_at_both_levels(encode_with_lengths(short_lengths, symbols),
+                                  symbols);
+  }
+}
+
+TEST(HuffmanTest, DecodeRejectsOverSubscribedLengths) {
+  // Three codes of length 1 cannot form a prefix code; the encoder never
+  // writes such a table, and the decoder must not build one.
+  std::vector<std::uint8_t> lengths(16, 0);
+  lengths[2] = 1;
+  lengths[5] = 1;
+  lengths[9] = 1;
+  const std::vector<std::uint32_t> symbols = {2, 5, 2, 2};
+  const auto blob = encode_with_lengths(lengths, symbols);
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    ScopedSimdLevel guard{level};
+    EXPECT_FALSE(huffman_decode(blob).has_value());
+  }
+}
+
+TEST(HuffmanTest, DecodeRejectsMoreCodesThanSymbols) {
+  // Every symbol the length table lists occurs at least once in a genuine
+  // stream; a table of three codes over a two-symbol stream is corrupt.
+  std::vector<std::uint8_t> lengths(16, 0);
+  lengths[2] = 1;
+  lengths[5] = 2;
+  lengths[9] = 2;
+  const auto blob = encode_with_lengths(lengths, {2, 5});
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    ScopedSimdLevel guard{level};
+    EXPECT_FALSE(huffman_decode(blob).has_value());
+  }
+}
+
+TEST(HuffmanTest, DecodeRejectsCountBeyondPayloadBits) {
+  // Every code spends at least one bit, so a header claiming more symbols
+  // than payload bits is corrupt — rejected before sizing the output.
+  const std::vector<std::uint32_t> symbols(64, 1);
+  auto blob = huffman_encode(symbols, 4);
+  const std::uint64_t claimed = 1ULL << 40;
+  for (int b = 0; b < 8; ++b) {
+    blob[4 + b] = static_cast<std::uint8_t>(claimed >> (8 * b));
+  }
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    ScopedSimdLevel guard{level};
+    EXPECT_FALSE(huffman_decode(blob).has_value());
+  }
 }
 
 }  // namespace

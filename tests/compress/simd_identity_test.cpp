@@ -328,6 +328,80 @@ TEST(SimdIdentityTest, CorruptStreamsSameVerdictAcrossLevels) {
   }
 }
 
+// The same verdict contract for slab- and field-sized streams, over damage
+// to every part of the blob: truncation anywhere, single-byte flips,
+// garbage payloads, wrong symbol counts and length tables turned over- or
+// under-subscribed.
+TEST(SimdIdentityTest, CorruptSizedStreamsSameVerdictAcrossLevels) {
+  SKIP_WITHOUT_AVX2();
+  lcp::Rng rng{41};
+  for (std::size_t count : {std::size_t{1} << 15, std::size_t{300000}}) {
+    const auto symbols = quantizer_shaped_symbols(count, 13);
+    const auto blob = lcp::sz::huffman_encode(symbols, 65537);
+    std::uint32_t runs = 0;
+    std::memcpy(&runs, blob.data() + 12, sizeof(runs));
+    const std::size_t table_end = 16 + 5 * std::size_t{runs};
+    const std::size_t payload_start = table_end + 8;
+
+    std::vector<std::vector<std::uint8_t>> variants;
+    for (std::size_t cut = 0; cut < blob.size(); cut += blob.size() / 23) {
+      variants.emplace_back(blob.begin(),
+                            blob.begin() + static_cast<std::ptrdiff_t>(cut));
+    }
+    for (int k = 0; k < 16; ++k) {
+      auto flipped = blob;
+      flipped[rng.uniform_index(flipped.size())] ^= 0xFF;
+      variants.push_back(std::move(flipped));
+    }
+    {
+      auto garbage = blob;
+      for (std::size_t i = payload_start; i < garbage.size(); ++i) {
+        garbage[i] = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      variants.push_back(std::move(garbage));
+    }
+    for (std::uint64_t claimed : {std::uint64_t{count} + 1,
+                                  std::uint64_t{count} - 1,
+                                  std::uint64_t{count} * 2}) {
+      auto recounted = blob;
+      std::memcpy(recounted.data() + 4, &claimed, sizeof(claimed));
+      variants.push_back(std::move(recounted));
+    }
+    for (std::uint8_t len : {std::uint8_t{1}, std::uint8_t{20}}) {
+      auto relengthed = blob;
+      for (std::size_t r = 16; r < table_end; r += 5) {
+        if (relengthed[r] != 0) {
+          relengthed[r] = len;  // first code-bearing run
+          break;
+        }
+      }
+      variants.push_back(std::move(relengthed));
+    }
+
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      SCOPED_TRACE("count " + std::to_string(count) + " variant " +
+                   std::to_string(v));
+      std::vector<std::uint32_t> out_s, out_v;
+      bool ok_s = false;
+      bool ok_v = false;
+      {
+        ScopedSimdLevel guard{SimdLevel::kScalar};
+        ok_s = lcp::sz::huffman_decode_into(variants[v], 4 * count, out_s)
+                   .is_ok();
+      }
+      {
+        ScopedSimdLevel guard{SimdLevel::kAvx2};
+        ok_v = lcp::sz::huffman_decode_into(variants[v], 4 * count, out_v)
+                   .is_ok();
+      }
+      EXPECT_EQ(ok_s, ok_v);
+      if (ok_s && ok_v) {
+        EXPECT_EQ(out_s, out_v);
+      }
+    }
+  }
+}
+
 TEST(SimdIdentityTest, ShuffleUnshuffleBitIdentical) {
   SKIP_WITHOUT_AVX2();
   for (std::size_t n : {std::size_t{1}, std::size_t{13}, std::size_t{4101}}) {

@@ -130,6 +130,31 @@ TEST(StreamingDumpTest, TinyQueueBackpressureStillProducesIdenticalBytes) {
   EXPECT_TRUE(std::equal(stored->begin(), stored->end(), serial->begin()));
 }
 
+TEST(StreamingDumpTest, ManyThreadsHandOffShippingInSlabOrder) {
+  // Many tiny slabs on more threads than slabs in flight: the shipping
+  // role changes hands between threads many times per dump, and every
+  // dump must still land slab-ordered and byte-identical.
+  const auto field = make_field();
+  auto cfg = small_slabs(256);
+  cfg.queue_capacity = 2;
+  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  ASSERT_TRUE(serial.has_value());
+
+  ThreadPool pool{8};
+  for (int round = 0; round < 10; ++round) {
+    io::NfsServer server;
+    io::NfsClient client{server};
+    auto stats = streaming_dump(field, pool, client, "/ckpt/many", cfg);
+    ASSERT_TRUE(stats.has_value()) << stats.status().to_string();
+    EXPECT_EQ(stats->queue_pushes, stats->slabs);
+    auto stored = server.read_file("/ckpt/many");
+    ASSERT_TRUE(stored.has_value());
+    ASSERT_EQ(stored->size(), serial->size());
+    EXPECT_TRUE(std::equal(stored->begin(), stored->end(), serial->begin()))
+        << "round " << round;
+  }
+}
+
 TEST(StreamingDumpTest, SingleSlabFieldStreams) {
   auto cfg = small_slabs();
   cfg.checkpoint.chunk_elements = 1 << 20;  // whole field in one slab
@@ -192,7 +217,7 @@ TEST(StreamingDumpTest, ProducerFailureAbortsPipelineWithRealError) {
 
 TEST(StreamingDumpTest, ServerDownMidStreamSurfacesTypedStatus) {
   // The server dies partway through the stream and never comes back. The
-  // writer thread must unwind with the client's typed retry-exhaustion
+  // shipping thread must unwind with the client's typed retry-exhaustion
   // status — a silent truncation would leave a file that decodes to a
   // short field, which is the one failure a checkpoint must never have.
   const auto field = make_field();
