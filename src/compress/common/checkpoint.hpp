@@ -9,13 +9,16 @@
 // lost regions per a RecoveryPolicy instead of failing wholesale.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compress/common/codec.hpp"
 #include "compress/common/framing.hpp"
 #include "data/field.hpp"
+#include "support/bytestream.hpp"
 #include "support/status.hpp"
 
 namespace lcp::compress {
@@ -31,6 +34,40 @@ struct CheckpointOptions {
   /// for the trade-off model.
   std::size_t chunk_elements = 1 << 15;
 };
+
+/// The one slab geometry and codec contract of every framed path: the
+/// checkpoint manifest and the incremental journal's generation entries
+/// both embed it. Slab s covers elements [slab_offset(s),
+/// slab_offset(s) + slab_elements(s)) of the flattened field.
+struct SlabLayout {
+  std::string codec;  ///< make_compressor name
+  ErrorBound bound;
+  data::Dims dims;
+  std::string field_name;
+  std::uint64_t chunk_elements = 0;  ///< elements per slab (last may be short)
+
+  /// The layout write_checkpoint slices `field` into under `options`.
+  [[nodiscard]] static SlabLayout of(const data::Field& field,
+                                     const CheckpointOptions& options);
+
+  /// Number of slabs (0 elements or chunk_elements -> 0 slabs).
+  [[nodiscard]] std::size_t slab_count() const noexcept;
+  [[nodiscard]] std::size_t slab_offset(std::size_t slab) const noexcept;
+  [[nodiscard]] std::size_t slab_elements(std::size_t slab) const noexcept;
+
+  bool operator==(const SlabLayout&) const = default;
+};
+
+/// Serializes `layout` (codec, bound mode and value, rank, extents, field
+/// name, chunk_elements — in that order) onto `w`.
+void write_slab_layout(ByteWriter& w, const SlabLayout& layout);
+
+/// Reads what write_slab_layout wrote, rejecting an unknown bound mode, a
+/// rank outside [1, 4], zero extents, element counts above
+/// kMaxContainerElements and a zero chunk_elements. `what` names the
+/// record in error messages ("manifest", "journal entry").
+[[nodiscard]] Expected<SlabLayout> read_slab_layout(ByteReader& r,
+                                                    std::string_view what);
 
 /// Compresses `field` slab-by-slab into a framed checkpoint stream.
 [[nodiscard]] Expected<std::vector<std::uint8_t>> write_checkpoint(
@@ -97,8 +134,7 @@ struct RecoveryReport {
 };
 
 /// One contiguous element region of a sliced field and whether its slab
-/// survived — the minimal shape interpolate_lost_regions needs, shared by
-/// recover_checkpoint and the incremental checkpoint store's restore path.
+/// survived — the minimal shape interpolate_lost_regions needs.
 struct SlabRegion {
   std::size_t element_offset = 0;
   std::size_t element_count = 0;
@@ -113,6 +149,31 @@ struct SlabRegion {
 /// `regions` must be contiguous, in element order, and cover `out`.
 void interpolate_lost_regions(std::span<float> out,
                               std::span<const SlabRegion> regions);
+
+/// What a slab source supplied for one slab. A source that could not
+/// supply it sets `frame_state` to kMissing or kCorrupt and says why in
+/// `status`; `bytes` then stays empty. `bytes` need only stay valid until
+/// the source is called again.
+struct SlabBytes {
+  std::uint32_t chunk_seq = 0;  ///< where the slab came from (frame chunk)
+  ChunkState frame_state = ChunkState::kIntact;
+  Status status;
+  std::span<const std::uint8_t> bytes;
+};
+
+/// Supplies slab `s` of a layout: frame chunks for a checkpoint stream,
+/// hash-verified replica fetches for the incremental store.
+using SlabSource = std::function<SlabBytes(std::size_t slab)>;
+
+/// The one slab decode walk. Asks `source` for every slab of `layout` in
+/// order, decodes what it supplies, checks the element count, places the
+/// slab at its offset and records a verdict. Then it counts lost
+/// elements, applies policy.fail_on_any_loss (the first lost slab's
+/// status, as a typed error) and the policy fill. Bytes that were
+/// supplied but fail to decode keep the source's frame_state.
+[[nodiscard]] Expected<RecoveryReport> decode_slabs(
+    const SlabLayout& layout, const SlabSource& source,
+    const RecoveryPolicy& policy);
 
 /// Graceful-degradation decode of a checkpoint stream. Fails only when
 /// the frame layout or both manifest copies are unrecoverable (or when

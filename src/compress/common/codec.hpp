@@ -38,6 +38,8 @@ struct ErrorBound {
   [[nodiscard]] static ErrorBound pointwise_relative(double value) noexcept {
     return {BoundMode::kPointwiseRelative, value};
   }
+
+  bool operator==(const ErrorBound&) const = default;
 };
 
 /// The paper's four study bounds: 1e-1, 1e-2, 1e-3, 1e-4.

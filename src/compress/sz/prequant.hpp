@@ -151,9 +151,10 @@ inline void encode_site(float value, std::int32_t r, std::int64_t pred,
 
 // --- Guarded integer Lorenzo predictors -----------------------------------
 //
-// Mirrors of compress/sz/lorenzo.hpp over the int32 grid: out-of-domain
-// neighbours contribute zero; second-order falls back to first-order when
-// any axis index is < 2 (same all-or-nothing guard as the float family).
+// Mirrors of the float-domain Lorenzo oracle (tests/compress/lorenzo.hpp)
+// over the int32 grid: out-of-domain neighbours contribute zero;
+// second-order falls back to first-order when any axis index is < 2 (same
+// all-or-nothing guard as the float family).
 // All sums are bounded by 63 * kPrequantMax < 2^29, so int32 is exact.
 
 [[nodiscard]] inline std::int32_t lorenzo_int_1d(const std::int32_t* r,

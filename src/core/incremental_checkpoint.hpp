@@ -86,11 +86,7 @@ struct SlabRecord {
 struct GenerationEntry {
   std::uint64_t generation = 0;  ///< 1-based, strictly increasing
   std::uint64_t parent = 0;      ///< previous generation, 0 for the first
-  std::string codec;
-  compress::ErrorBound bound;
-  data::Dims dims;
-  std::string field_name;
-  std::uint64_t chunk_elements = 0;
+  compress::SlabLayout layout;   ///< same slicing as the checkpoint manifest
   std::uint32_t dirty_slabs = 0;  ///< slabs re-encoded for this generation
   std::vector<SlabRecord> slabs;
 };
@@ -113,22 +109,15 @@ struct GcReport {
   Bytes bytes_freed{0};             ///< summed across replicas
 };
 
-/// Outcome of one restore, with per-slab verdicts mirroring
-/// recover_checkpoint's report.
-struct RestoreReport {
-  data::Field field;
+/// Outcome of one restore: recover_checkpoint's report (the same decode
+/// walk produced it) plus where the slabs came from.
+struct RestoreReport : compress::RecoveryReport {
   std::uint64_t generation = 0;
-  std::vector<compress::SlabVerdict> slabs;
-  std::size_t total_elements = 0;
-  std::size_t lost_elements = 0;
   /// Replica fetches that had to fail over (down replica, missing or
   /// hash-mismatched copy) before a good copy — or none — was found.
   std::size_t slab_failovers = 0;
   /// True when the journal itself needed cross-replica chunk failover.
   bool journal_degraded = false;
-
-  [[nodiscard]] std::size_t recovered_slabs() const noexcept;
-  [[nodiscard]] bool complete() const noexcept { return lost_elements == 0; }
 };
 
 class IncrementalCheckpointStore {

@@ -4,8 +4,8 @@
 #include <limits>
 #include <vector>
 
-#include "compress/sz/lorenzo.hpp"
 #include "compress/sz/quantizer.hpp"
+#include "lorenzo.hpp"
 
 namespace lcp::sz {
 namespace {

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "compress/common/metrics.hpp"
-#include "compress/sz/lorenzo.hpp"
 #include "compress/sz/sz_compressor.hpp"
 #include "data/generators.hpp"
+#include "lorenzo.hpp"
 
 namespace lcp::sz {
 namespace {

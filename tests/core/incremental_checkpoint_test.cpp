@@ -1,15 +1,20 @@
 // Incremental checkpoint store suite: delta-chain byte-identity against
 // the classic checkpoint pipeline, content-addressed dedup, quorum
 // restores under replica loss, damaged-object verdicts, journal
-// durability, and GC round-trips.
+// durability, GC round-trips, and a differential check that restore and
+// recover_checkpoint agree bit for bit on the same damage.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "compress/common/checkpoint.hpp"
+#include "compress/common/framing.hpp"
+#include "compress/common/registry.hpp"
 #include "core/incremental_checkpoint.hpp"
 #include "data/field.hpp"
 #include "io/fault.hpp"
@@ -527,6 +532,183 @@ TEST(IncrementalStoreTest, DumpValidatesInput) {
   bad.checkpoint.chunk_elements = 0;
   IncrementalCheckpointStore store{rig.replicas, bad};
   EXPECT_FALSE(store.dump(empty).has_value());
+}
+
+// --- Differential oracle: restore vs recover_checkpoint -----------------
+//
+// One field, one CheckpointOptions, the same slab damaged in a checkpoint
+// frame and in the store. Both paths run the one slab decode walk, so
+// their fields and slab verdicts must agree bit for bit.
+
+constexpr std::size_t kVictim = 3;
+
+std::string object_path(std::uint64_t stored_hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(stored_hash));
+  return std::string{"ckpt/slabs/"} + buf;
+}
+
+/// Stored-object hash of slab `s`, exactly as the store names it.
+std::uint64_t slab_object_hash(const data::Field& field,
+                               const compress::CheckpointOptions& opts,
+                               std::size_t s) {
+  auto codec = compress::make_compressor(opts.codec);
+  EXPECT_TRUE(codec.has_value());
+  auto slab = compress::compress_checkpoint_slab(field, opts, s, **codec);
+  EXPECT_TRUE(slab.has_value());
+  return fnv1a64(*slab);
+}
+
+/// A checkpoint frame of `field` whose slab `victim` chunk carries
+/// `replacement` under a valid chunk CRC.
+std::vector<std::uint8_t> frame_with_slab(
+    const data::Field& field, const compress::CheckpointOptions& opts,
+    std::size_t victim, std::span<const std::uint8_t> replacement) {
+  auto manifest = compress::checkpoint_manifest(field, opts);
+  auto codec = compress::make_compressor(opts.codec);
+  EXPECT_TRUE(manifest.has_value() && codec.has_value());
+  compress::FrameParams params;
+  params.flags = compress::kFrameFlagCheckpoint;
+  compress::FramedWriter writer{params};
+  writer.append_chunk(*manifest);
+  for (std::size_t s = 0; s < compress::checkpoint_slab_count(field, opts);
+       ++s) {
+    auto slab = compress::compress_checkpoint_slab(field, opts, s, **codec);
+    EXPECT_TRUE(slab.has_value());
+    if (s == victim) {
+      writer.append_chunk(replacement);
+    } else {
+      writer.append_chunk(*slab);
+    }
+  }
+  writer.append_chunk(*manifest);
+  return writer.finish();
+}
+
+void replace_everywhere(Rig& rig, const std::string& path,
+                        std::span<const std::uint8_t> bytes) {
+  for (NfsServer* s : {&rig.s0, &rig.s1, &rig.s2}) {
+    (void)s->remove_file(path);
+    ASSERT_TRUE(s->handle_write(path, bytes).is_ok());
+  }
+}
+
+void expect_agree(Rig& rig, std::span<const std::uint8_t> frame) {
+  for (auto fill :
+       {compress::RecoveryFill::kZero, compress::RecoveryFill::kInterpolate}) {
+    SCOPED_TRACE(fill == compress::RecoveryFill::kZero ? "zero" : "lerp");
+    compress::RecoveryPolicy policy;
+    policy.fill = fill;
+    const auto recovered = compress::recover_checkpoint(frame, policy);
+    const auto restored = rig.store.restore(1, policy);
+    ASSERT_TRUE(recovered.has_value()) << recovered.status().to_string();
+    ASSERT_TRUE(restored.has_value()) << restored.status().to_string();
+    EXPECT_FALSE(restored->complete());
+    EXPECT_EQ(restored->lost_elements, recovered->lost_elements);
+    expect_identical(restored->field, recovered->field);
+    ASSERT_EQ(restored->slabs.size(), recovered->slabs.size());
+    for (std::size_t s = 0; s < restored->slabs.size(); ++s) {
+      const auto& a = restored->slabs[s];
+      const auto& b = recovered->slabs[s];
+      EXPECT_EQ(a.element_offset, b.element_offset) << s;
+      EXPECT_EQ(a.element_count, b.element_count) << s;
+      EXPECT_EQ(a.recovered, b.recovered) << s;
+      EXPECT_EQ(a.recovered, s != kVictim) << s;
+    }
+  }
+}
+
+TEST(IncrementalStoreTest, RestoreAgreesWithRecoverOnDamagedSlab) {
+  Rig rig;
+  const auto field = ramp_field();
+  const auto& opts = rig.opts.checkpoint;
+  ASSERT_TRUE(rig.store.dump(field).has_value());
+
+  // Frame: one flipped byte in slab k's chunk fails its CRC.
+  auto frame = compress::write_checkpoint(field, opts);
+  ASSERT_TRUE(frame.has_value());
+  const auto walked = compress::recover_framed(*frame);
+  ASSERT_TRUE(walked.has_value());
+  const auto victim_chunk = walked->chunks[kVictim + 1].payload;
+  (*frame)[static_cast<std::size_t>(victim_chunk.data() - frame->data()) +
+           victim_chunk.size() / 2] ^= 0x40;
+
+  // Store: the same flip in slab k's object on every replica fails its
+  // content hash everywhere.
+  const std::string path = object_path(slab_object_hash(field, opts, kVictim));
+  auto object = rig.s0.read_file(path);
+  ASSERT_TRUE(object.has_value());
+  std::vector<std::uint8_t> damaged(object->begin(), object->end());
+  damaged[damaged.size() / 2] ^= 0x40;
+  replace_everywhere(rig, path, damaged);
+
+  expect_agree(rig, *frame);
+}
+
+TEST(IncrementalStoreTest, RestoreAgreesWithRecoverOnUndecodableSlab) {
+  Rig rig;
+  const auto field = ramp_field();
+  const auto& opts = rig.opts.checkpoint;
+  ASSERT_TRUE(rig.store.dump(field).has_value());
+
+  // Bytes that pass every integrity check but decode to the wrong slab: a
+  // valid container of a 100-element field.
+  const data::Field stranger{"x", data::Dims::d1(100),
+                             std::vector<float>(100, 2.0F)};
+  auto codec = compress::make_compressor(opts.codec);
+  ASSERT_TRUE(codec.has_value());
+  auto wrong = (*codec)->compress(stranger, opts.bound);
+  ASSERT_TRUE(wrong.has_value());
+  const auto& junk = wrong->container;
+  const auto frame = frame_with_slab(field, opts, kVictim, junk);
+
+  // Store: put the junk object under its own hash and point generation
+  // 1's slab k at it, re-framing the journal so every CRC still holds.
+  const std::uint64_t junk_hash = fnv1a64(junk);
+  replace_everywhere(rig, object_path(junk_hash), junk);
+  const std::uint64_t old_hash = slab_object_hash(field, opts, kVictim);
+  const auto journals = rig.s0.list_files("ckpt/journal.");
+  ASSERT_EQ(journals.size(), 1u);
+  auto journal = rig.s0.read_file(journals.front());
+  ASSERT_TRUE(journal.has_value());
+  const std::vector<std::uint8_t> journal_bytes(journal->begin(),
+                                                journal->end());
+  const auto chunks = compress::recover_framed(journal_bytes);
+  ASSERT_TRUE(chunks.has_value());
+  compress::FrameParams params;
+  params.flags = compress::kFrameFlagJournal;
+  compress::FramedWriter writer{params};
+  std::size_t patched = 0;
+  for (const auto& chunk : chunks->chunks) {
+    std::vector<std::uint8_t> payload(chunk.payload.begin(),
+                                      chunk.payload.end());
+    for (std::size_t i = 0; i + 8 <= payload.size(); ++i) {
+      if (std::memcmp(payload.data() + i, &old_hash, 8) == 0) {
+        std::memcpy(payload.data() + i, &junk_hash, 8);
+        ++patched;
+      }
+    }
+    writer.append_chunk(payload);
+  }
+  ASSERT_EQ(patched, 1u);
+  replace_everywhere(rig, journals.front(), writer.finish());
+
+  expect_agree(rig, frame);
+
+  // Hash-verified (or CRC-verified) bytes that fail to decode keep the
+  // transport's verdict: intact bytes, lost slab.
+  const auto restored = rig.store.restore(1);
+  const auto recovered = compress::recover_checkpoint(frame);
+  ASSERT_TRUE(restored.has_value() && recovered.has_value());
+  for (const auto* report :
+       {static_cast<const compress::RecoveryReport*>(&*restored),
+        static_cast<const compress::RecoveryReport*>(&*recovered)}) {
+    const auto& v = report->slabs[kVictim];
+    EXPECT_EQ(v.frame_state, compress::ChunkState::kIntact);
+    EXPECT_FALSE(v.recovered);
+    EXPECT_FALSE(v.status.is_ok());
+  }
 }
 
 }  // namespace

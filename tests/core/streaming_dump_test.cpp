@@ -1,7 +1,8 @@
 // Streaming dump engine: the wire contract is byte-identity with
 // compress::write_checkpoint, so every existing checkpoint reader keeps
 // working on streamed dumps. These tests pin that contract plus the
-// pipeline mechanics (stats accounting, backpressure, error paths).
+// pipeline mechanics (stats accounting, backpressure, error paths), and
+// run the pooled path through both lossy codecs (ParallelCodecTest).
 
 #include "core/streaming_dump.hpp"
 
@@ -13,6 +14,7 @@
 
 #include "compress/common/checkpoint.hpp"
 #include "compress/common/framing.hpp"
+#include "compress/common/registry.hpp"
 #include "data/generators.hpp"
 #include "io/fault.hpp"
 #include "io/nfs_client.hpp"
@@ -273,6 +275,132 @@ TEST(StreamingDumpTest, TransientMidStreamOutageRidesRetries) {
   ASSERT_TRUE(stored.has_value());
   ASSERT_EQ(stored->size(), serial->size());
   EXPECT_TRUE(std::equal(stored->begin(), stored->end(), serial->begin()));
+}
+
+/// The bytes a pooled streaming dump of `field` leaves on the server.
+std::vector<std::uint8_t> pooled_dump(const data::Field& field,
+                                      const StreamingDumpConfig& cfg,
+                                      ThreadPool& pool) {
+  io::NfsServer server;
+  io::NfsClient client{server};
+  auto stats = streaming_dump(field, pool, client, "/ckpt/pooled", cfg);
+  EXPECT_TRUE(stats.has_value()) << stats.status().to_string();
+  auto stored = server.read_file("/ckpt/pooled");
+  EXPECT_TRUE(stored.has_value());
+  if (!stored.has_value()) {
+    return {};
+  }
+  return {stored->begin(), stored->end()};
+}
+
+StreamingDumpConfig codec_slabs(compress::CodecId codec, double bound,
+                                std::size_t chunk_elements) {
+  StreamingDumpConfig cfg;
+  cfg.checkpoint.codec = compress::codec_name(codec);
+  cfg.checkpoint.bound = compress::ErrorBound::absolute(bound);
+  cfg.checkpoint.chunk_elements = chunk_elements;
+  return cfg;
+}
+
+void expect_within(const data::Field& original, const data::Field& decoded,
+                   double bound) {
+  ASSERT_EQ(decoded.dims(), original.dims());
+  EXPECT_EQ(decoded.name(), original.name());
+  const auto err = data::compare_fields(original, decoded);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_LE(err->max_abs_error, bound * (1 + 1e-6));
+}
+
+class ParallelCodecTest : public ::testing::TestWithParam<compress::CodecId> {
+};
+
+TEST_P(ParallelCodecTest, RoundTripMatchesFieldAndBound) {
+  ThreadPool pool{3};
+  const auto field = data::generate_cesm_atm(12, 40, 60, 5);
+  const auto cfg = codec_slabs(GetParam(), 1e-3, 4000);  // many slabs
+  const auto bytes = pooled_dump(field, cfg, pool);
+  auto decoded = compress::read_checkpoint(bytes);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  expect_within(field, *decoded, 1e-3);
+}
+
+TEST_P(ParallelCodecTest, OneDimensionalFieldChunks) {
+  ThreadPool pool{2};
+  const auto field = data::generate_hacc(50000, 5);
+  const auto cfg = codec_slabs(GetParam(), 1e-2, 8192);
+  const auto bytes = pooled_dump(field, cfg, pool);
+  auto decoded = compress::read_checkpoint(bytes);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  expect_within(field, *decoded, 1e-2);
+}
+
+TEST_P(ParallelCodecTest, SingleChunkDegenerateCase) {
+  ThreadPool pool{2};
+  const auto field = data::generate_nyx(16, 6);
+  const auto cfg = codec_slabs(GetParam(), 1e-3, 1 << 30);  // one slab
+  const auto bytes = pooled_dump(field, cfg, pool);
+  auto report = compress::recover_checkpoint(bytes);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  EXPECT_EQ(report->slabs.size(), 1u);
+  EXPECT_TRUE(report->complete());
+  EXPECT_EQ(report->field.element_count(), field.element_count());
+}
+
+TEST_P(ParallelCodecTest, ChunkingIsDeterministic) {
+  ThreadPool pool{4};
+  const auto field = data::generate_cesm_atm(8, 30, 30, 7);
+  const auto cfg = codec_slabs(GetParam(), 1e-2, 2000);
+  EXPECT_EQ(pooled_dump(field, cfg, pool), pooled_dump(field, cfg, pool));
+}
+
+TEST_P(ParallelCodecTest, WorkerCountNeverChangesTheBytes) {
+  // Slab boundaries depend only on the options, so the stream must equal
+  // write_checkpoint's bytes no matter how many workers raced over the
+  // slabs — including 0 (hardware concurrency) and a deliberately odd 7
+  // that does not divide the 13-slab split.
+  const auto field = data::generate_cesm_atm(13, 24, 36, 9);
+  const auto cfg = codec_slabs(GetParam(), 1e-3, 24 * 36);
+  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  ASSERT_TRUE(serial.has_value()) << serial.status().to_string();
+  ASSERT_EQ(compress::checkpoint_slab_count(field, cfg.checkpoint), 13u);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{0}, std::size_t{7}}) {
+    ThreadPool pool{workers};
+    EXPECT_EQ(pooled_dump(field, cfg, pool), *serial) << workers;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothCodecs, ParallelCodecTest,
+                         ::testing::Values(compress::CodecId::kSz,
+                                           compress::CodecId::kZfp),
+                         [](const auto& suite_info) {
+                           return std::string{
+                               compress::codec_name(suite_info.param)};
+                         });
+
+TEST(ParallelFrameTest, DecompressRejectsTruncationAndGarbage) {
+  ThreadPool pool{2};
+  const auto field = data::generate_nyx(8, 9);
+  const auto bytes = pooled_dump(field, small_slabs(128), pool);
+  ASSERT_TRUE(compress::read_checkpoint(bytes).has_value());
+
+  const std::vector<std::uint8_t> truncated(
+      bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(
+                                         bytes.size() / 2));
+  EXPECT_FALSE(compress::read_checkpoint(truncated).has_value());
+
+  const std::vector<std::uint8_t> garbage(100, 0x5A);
+  EXPECT_FALSE(compress::read_checkpoint(garbage).has_value());
+  EXPECT_FALSE(compress::recover_checkpoint(garbage).has_value());
+}
+
+TEST(ParallelFrameTest, CompressRejectsEmptyField) {
+  ThreadPool pool{1};
+  io::NfsServer server;
+  io::NfsClient client{server};
+  EXPECT_FALSE(
+      streaming_dump(data::Field{}, pool, client, "/ckpt/empty", small_slabs())
+          .has_value());
+  EXPECT_FALSE(server.has_file("/ckpt/empty"));
 }
 
 }  // namespace
