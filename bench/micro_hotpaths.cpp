@@ -706,7 +706,6 @@ void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
   cfg.checkpoint.bound = lcp::compress::ErrorBound::absolute(1e-3);
   cfg.checkpoint.chunk_elements =
       std::max<std::size_t>(1, field.element_count() / 16);
-  cfg.queue_capacity = 4;
 
   double baseline_ns = 0.0;
   lcp::core::StreamingDumpStats uncontended;  // from the 1-worker run

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <numeric>
+#include <utility>
 
 #include "compress/common/container.hpp"
 #include "compress/common/registry.hpp"
 #include "support/bytestream.hpp"
 #include "support/checksum.hpp"
+#include "support/thread_annotations.hpp"
+#include "support/thread_pool.hpp"
+#include "support/timer.hpp"
 
 namespace lcp::compress {
 namespace {
@@ -92,6 +98,97 @@ Expected<RecoveryReport> decode_checkpoint(const FrameRecovery& rec,
   return report;
 }
 
+/// Compressed slabs that may wait in order for the sink before a thread
+/// that finishes another slab waits for them to drain.
+constexpr std::size_t kMaxBacklog = 4;
+
+/// encode_slabs' in-order hand-off on a pool (see its comment). The sink
+/// runs on a compressing thread, which already holds a CPU, so the walk
+/// uses no thread beyond the pool and the caller. The hand-off role
+/// passes between threads under `mutex_`; only its holder calls the sink,
+/// so the sink sees one slab at a time and needs no lock of its own.
+class OrderedHandoff {
+ public:
+  explicit OrderedHandoff(const SlabSink& sink) : sink_(sink) {}
+
+  /// Parks the slab at list position `pos`. If it completes the run of
+  /// positions next in order and no thread holds the role, this thread
+  /// takes it and feeds the sink until the next position is missing,
+  /// releasing the lock while the sink runs. Otherwise it returns at
+  /// once, unless kMaxBacklog slabs already wait in order: then it waits
+  /// for them to drain.
+  void deliver(std::size_t pos, EncodedSlab slab) {
+    MutexLock lock{mutex_};
+    if (!status_.is_ok()) {
+      return;
+    }
+    parked_.emplace(pos, std::move(slab));
+    while (status_.is_ok() && handing_ && backlog_full()) {
+      cv_.wait(lock);
+    }
+    if (!status_.is_ok() || handing_ || !parked_.contains(next_)) {
+      return;  // failed, or another thread will hand this slab over
+    }
+    handing_ = true;
+    for (auto it = parked_.find(next_); it != parked_.end();
+         it = parked_.find(next_)) {
+      const EncodedSlab ready = std::move(it->second);
+      parked_.erase(it);
+      ++next_;
+      cv_.notify_all();
+      lock.unlock();
+      const Status st = sink_(ready);
+      lock.lock();
+      if (!st.is_ok()) {
+        if (status_.is_ok()) {
+          status_ = st;
+        }
+        break;
+      }
+    }
+    handing_ = false;
+    cv_.notify_all();
+  }
+
+  /// Records the first failure; later deliveries are dropped and waiting
+  /// threads return.
+  void fail(const Status& st) {
+    const MutexLock lock{mutex_};
+    if (status_.is_ok()) {
+      status_ = st;
+    }
+    cv_.notify_all();
+  }
+
+  [[nodiscard]] Status status() const {
+    const MutexLock lock{mutex_};
+    return status_;
+  }
+  [[nodiscard]] std::size_t handed() const {
+    const MutexLock lock{mutex_};
+    return next_;
+  }
+
+ private:
+  /// True when kMaxBacklog positions from `next_` on are parked.
+  bool backlog_full() const LCP_REQUIRES(mutex_) {
+    for (std::size_t k = 0; k < kMaxBacklog; ++k) {
+      if (!parked_.contains(next_ + k)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const SlabSink& sink_;
+  mutable Mutex mutex_;
+  CondVar cv_;
+  std::map<std::size_t, EncodedSlab> parked_ LCP_GUARDED_BY(mutex_);
+  std::size_t next_ LCP_GUARDED_BY(mutex_) = 0;
+  bool handing_ LCP_GUARDED_BY(mutex_) = false;
+  Status status_ LCP_GUARDED_BY(mutex_) = Status::ok();
+};
+
 }  // namespace
 
 void interpolate_lost_regions(std::span<float> out,
@@ -154,6 +251,11 @@ std::size_t SlabLayout::slab_offset(std::size_t slab) const noexcept {
 std::size_t SlabLayout::slab_elements(std::size_t slab) const noexcept {
   return std::min<std::size_t>(chunk_elements,
                                dims.element_count() - slab_offset(slab));
+}
+
+std::span<const float> SlabLayout::slab_values(
+    const data::Field& field, std::size_t slab) const noexcept {
+  return field.values().subspan(slab_offset(slab), slab_elements(slab));
 }
 
 void write_slab_layout(ByteWriter& w, const SlabLayout& layout) {
@@ -283,6 +385,11 @@ Expected<std::vector<std::uint8_t>> checkpoint_manifest(
   if (options.chunk_elements == 0) {
     return Status::invalid_argument("checkpoint chunk_elements must be > 0");
   }
+  const auto& codecs = registered_codec_names();
+  if (std::find(codecs.begin(), codecs.end(), options.codec) == codecs.end()) {
+    return Status::invalid_argument("checkpoint codec unknown: " +
+                                    options.codec);
+  }
   return build_manifest(SlabLayout::of(field, options));
 }
 
@@ -293,14 +400,9 @@ Expected<std::vector<std::uint8_t>> compress_checkpoint_slab(
   if (slab_index >= layout.slab_count()) {
     return Status::invalid_argument("checkpoint slab index out of range");
   }
-  const std::size_t offset = layout.slab_offset(slab_index);
-  const std::size_t count = layout.slab_elements(slab_index);
-  const auto values = field.values();
-  data::Field slab{
-      field.name(), data::Dims::d1(count),
-      std::vector<float>(values.begin() + static_cast<std::ptrdiff_t>(offset),
-                         values.begin() +
-                             static_cast<std::ptrdiff_t>(offset + count))};
+  const auto values = layout.slab_values(field, slab_index);
+  data::Field slab{field.name(), data::Dims::d1(values.size()),
+                   std::vector<float>(values.begin(), values.end())};
   auto compressed = codec.compress(slab, options.bound);
   if (!compressed) {
     return compressed.status().with_context("slab " +
@@ -309,29 +411,76 @@ Expected<std::vector<std::uint8_t>> compress_checkpoint_slab(
   return std::move(compressed->container);
 }
 
+Status encode_slabs(const data::Field& field, const CheckpointOptions& options,
+                    std::span<const std::size_t> slabs, const SlabSink& sink,
+                    ThreadPool* pool) {
+  auto codec = make_compressor(options.codec);
+  if (!codec) {
+    return codec.status();
+  }
+  const auto encode = [&](std::size_t s) -> Expected<EncodedSlab> {
+    Timer t;
+    auto container = compress_checkpoint_slab(field, options, s, **codec);
+    if (!container) {
+      return container.status();
+    }
+    return EncodedSlab{s, std::move(*container), t.elapsed()};
+  };
+
+  if (pool == nullptr) {
+    for (const std::size_t s : slabs) {
+      auto slab = encode(s);
+      if (!slab) {
+        return slab.status();
+      }
+      LCP_RETURN_IF_ERROR(sink(*slab));
+    }
+    return Status::ok();
+  }
+
+  OrderedHandoff handoff{sink};
+  pool->parallel_for(
+      0, slabs.size(),
+      [&](std::size_t pos) {
+        if (!handoff.status().is_ok()) {
+          return;  // walk already failed; skip the remaining work
+        }
+        auto slab = encode(slabs[pos]);
+        if (!slab) {
+          handoff.fail(slab.status());
+          return;
+        }
+        handoff.deliver(pos, std::move(*slab));
+      },
+      /*grain=*/1);
+  // parallel_for has joined every thread that held the hand-off role.
+  Status st = handoff.status();
+  if (st.is_ok() && handoff.handed() != slabs.size()) {
+    st = Status::internal("encode_slabs: slabs left undelivered");
+  }
+  return st;
+}
+
 Expected<std::vector<std::uint8_t>> write_checkpoint(
     const data::Field& field, const CheckpointOptions& options) {
   auto manifest_bytes = checkpoint_manifest(field, options);
   if (!manifest_bytes) {
     return manifest_bytes.status().with_context("write_checkpoint");
   }
-  auto codec = make_compressor(options.codec);
-  if (!codec) {
-    return codec.status().with_context("write_checkpoint");
-  }
-
   FrameParams params;
   params.flags = kFrameFlagCheckpoint;
   FramedWriter writer{params};
   writer.append_chunk(*manifest_bytes);
 
-  const std::size_t slab_count = checkpoint_slab_count(field, options);
-  for (std::size_t s = 0; s < slab_count; ++s) {
-    auto compressed = compress_checkpoint_slab(field, options, s, **codec);
-    if (!compressed) {
-      return compressed.status();
-    }
-    writer.append_chunk(*compressed);
+  std::vector<std::size_t> all(checkpoint_slab_count(field, options));
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const Status st =
+      encode_slabs(field, options, all, [&writer](const EncodedSlab& slab) {
+        writer.append_chunk(slab.container);
+        return Status::ok();
+      });
+  if (!st.is_ok()) {
+    return st.with_context("write_checkpoint");
   }
   writer.append_chunk(*manifest_bytes);  // replica guards against head loss
   return writer.finish();

@@ -20,6 +20,11 @@
 #include "data/field.hpp"
 #include "support/bytestream.hpp"
 #include "support/status.hpp"
+#include "support/units.hpp"
+
+namespace lcp {
+class ThreadPool;
+}  // namespace lcp
 
 namespace lcp::compress {
 
@@ -54,6 +59,9 @@ struct SlabLayout {
   [[nodiscard]] std::size_t slab_count() const noexcept;
   [[nodiscard]] std::size_t slab_offset(std::size_t slab) const noexcept;
   [[nodiscard]] std::size_t slab_elements(std::size_t slab) const noexcept;
+  /// Slab `slab`'s elements of `field`, which must have this layout's dims.
+  [[nodiscard]] std::span<const float> slab_values(
+      const data::Field& field, std::size_t slab) const noexcept;
 
   bool operator==(const SlabLayout&) const = default;
 };
@@ -73,11 +81,14 @@ void write_slab_layout(ByteWriter& w, const SlabLayout& layout);
 [[nodiscard]] Expected<std::vector<std::uint8_t>> write_checkpoint(
     const data::Field& field, const CheckpointOptions& options);
 
-// Incremental building blocks, exposed so the streaming dump engine
-// (core/streaming_dump.hpp) can compress slabs out of order on a pool and
-// still emit a stream byte-identical to write_checkpoint: manifest as
-// chunk 0, compressed slabs as chunks 1..N in order, the manifest replica
-// last, all under a kFrameFlagCheckpoint frame.
+// Building blocks of the one slab encode walk. write_checkpoint, the
+// streaming dump engine (core/streaming_dump.hpp) and the incremental
+// store (core/incremental_checkpoint.hpp) all compress slabs through
+// encode_slabs and differ only in the sink: a frame writer, a frame
+// writer shipping to an NFS stream, and a dedup + replicated object put.
+// A checkpoint stream is the manifest as chunk 0, compressed slabs as
+// chunks 1..N in order, the manifest replica last, all under a
+// kFrameFlagCheckpoint frame.
 
 /// Number of element slabs `field` splits into (0 elements -> 0 slabs).
 [[nodiscard]] std::size_t checkpoint_slab_count(
@@ -93,6 +104,40 @@ void write_slab_layout(ByteWriter& w, const SlabLayout& layout);
 [[nodiscard]] Expected<std::vector<std::uint8_t>> compress_checkpoint_slab(
     const data::Field& field, const CheckpointOptions& options,
     std::size_t slab_index, const Compressor& codec);
+
+/// One compressed slab, as encode_slabs hands it to a sink.
+struct EncodedSlab {
+  std::size_t slab = 0;  ///< slab index in the field's SlabLayout
+  std::vector<std::uint8_t> container;
+  /// Codec wall time on the thread that compressed the slab (contention
+  /// on an oversubscribed host included).
+  Seconds compress_seconds{0.0};
+};
+
+/// Takes one compressed slab; a non-OK status stops the walk.
+using SlabSink = std::function<Status(const EncodedSlab&)>;
+
+/// The one slab encode walk, the write-side twin of decode_slabs. Makes
+/// one options.codec instance (an unknown codec fails even for an empty
+/// list) and compresses every slab index in `slabs` with
+/// compress_checkpoint_slab. Without a pool the slabs compress inline on
+/// the caller's thread. With one they compress out of order on the
+/// workers and the caller, and each finished slab is parked until every
+/// slab before it in `slabs` was handed over; the thread that completes
+/// the run takes the hand-off role and feeds the sink while the others
+/// keep compressing. A thread that finishes a slab while 4 slabs already
+/// wait in order for the sink waits for them to drain, so a slow sink
+/// stalls compression rather than buffering the field.
+///
+/// Either way the sink sees the slabs one at a time, in list order, never
+/// concurrently. The first failure (a slab that does not compress, named
+/// by its index, or a sink status) stops the walk: nothing after it is
+/// handed over and encode_slabs returns that status.
+[[nodiscard]] Status encode_slabs(const data::Field& field,
+                                  const CheckpointOptions& options,
+                                  std::span<const std::size_t> slabs,
+                                  const SlabSink& sink,
+                                  ThreadPool* pool = nullptr);
 
 /// How recover() reconstructs regions whose slab was lost.
 enum class RecoveryFill : std::uint8_t {

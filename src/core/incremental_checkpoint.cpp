@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "compress/common/framing.hpp"
-#include "compress/common/registry.hpp"
 #include "support/bytestream.hpp"
 #include "support/checksum.hpp"
 
@@ -190,13 +189,6 @@ std::optional<std::uint64_t> parse_hex16(std::string_view s) {
     }
   }
   return v;
-}
-
-std::span<const std::uint8_t> slab_raw_bytes(std::span<const float> values,
-                                             std::size_t offset,
-                                             std::size_t count) {
-  return {reinterpret_cast<const std::uint8_t*>(values.data() + offset),
-          count * sizeof(float)};
 }
 
 }  // namespace
@@ -543,15 +535,10 @@ Expected<DumpSummary> IncrementalCheckpointStore::dump(
     return Status::invalid_argument(
         "incremental dump chunk_elements must be > 0");
   }
-  auto codec = compress::make_compressor(opts.codec);
-  if (!codec.has_value()) {
-    return codec.status().with_context("incremental dump");
-  }
 
   const Bytes wire_before = replicas_.bytes_replicated();
   const compress::SlabLayout layout = compress::SlabLayout::of(field, opts);
   const std::size_t slab_count = layout.slab_count();
-  const auto values = field.values();
 
   const GenerationEntry* parent =
       entries_.empty() ? nullptr : &entries_.back();
@@ -564,45 +551,65 @@ Expected<DumpSummary> IncrementalCheckpointStore::dump(
   entry.generation = next_generation_;
   entry.parent = parent == nullptr ? 0 : parent->generation;
   entry.layout = layout;
-  entry.slabs.reserve(slab_count);
+  entry.slabs.resize(slab_count);
 
   DumpSummary summary;
   summary.generation = entry.generation;
   summary.slab_count = slab_count;
 
+  // Raw-hash pass: a slab whose raw floats hash as in the parent keeps
+  // the parent's record; the others are dirty and go through the encode
+  // walk.
+  std::vector<std::size_t> dirty;
   for (std::size_t s = 0; s < slab_count; ++s) {
-    const std::uint64_t raw_hash = fnv1a64(slab_raw_bytes(
-        values, layout.slab_offset(s), layout.slab_elements(s)));
+    const auto raw = layout.slab_values(field, s);
+    const std::uint64_t raw_hash = fnv1a64(
+        {reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size_bytes()});
     if (parent_comparable && parent->slabs[s].raw_hash == raw_hash) {
-      entry.slabs.push_back(parent->slabs[s]);
-      continue;
+      entry.slabs[s] = parent->slabs[s];
+    } else {
+      entry.slabs[s].raw_hash = raw_hash;
+      dirty.push_back(s);
     }
-    ++summary.dirty_slabs;
-    auto compressed = compress::compress_checkpoint_slab(field, opts, s,
-                                                         **codec);
-    if (!compressed.has_value()) {
-      return compressed.status().with_context("incremental dump");
-    }
-    const std::uint64_t stored_hash = fnv1a64(*compressed);
-    const bool already_stored =
-        std::binary_search(stored_objects_.begin(), stored_objects_.end(),
-                           stored_hash);
-    if (!already_stored) {
-      const Status st = put_file(slab_path(stored_hash), *compressed);
-      if (!st.is_ok()) {
-        // Objects written before the failure are orphans until the next
-        // gc(); the generation itself is never published, so no reader
-        // can observe the partial dump.
-        return st.with_context("incremental dump: slab " + std::to_string(s));
-      }
-      stored_objects_.insert(
-          std::lower_bound(stored_objects_.begin(), stored_objects_.end(),
-                           stored_hash),
-          stored_hash);
-      ++summary.written_slabs;
-      summary.payload_bytes = summary.payload_bytes + Bytes{compressed->size()};
-    }
-    entry.slabs.push_back({raw_hash, stored_hash, compressed->size()});
+  }
+  summary.dirty_slabs = dirty.size();
+
+  // The sink dedups against the objects already durable and the ones this
+  // walk wrote (`written`, sorted), and merges the latter into
+  // stored_objects_ only after the walk.
+  const std::span<const std::uint64_t> durable{stored_objects_};
+  std::vector<std::uint64_t> written;
+  const Status walked = compress::encode_slabs(
+      field, opts, dirty, [&](const compress::EncodedSlab& slab) {
+        const std::uint64_t stored_hash = fnv1a64(slab.container);
+        const auto at =
+            std::lower_bound(written.begin(), written.end(), stored_hash);
+        const bool already_stored =
+            std::binary_search(durable.begin(), durable.end(), stored_hash) ||
+            (at != written.end() && *at == stored_hash);
+        if (!already_stored) {
+          const Status st = put_file(slab_path(stored_hash), slab.container);
+          if (!st.is_ok()) {
+            return st.with_context("slab " + std::to_string(slab.slab));
+          }
+          written.insert(at, stored_hash);
+          ++summary.written_slabs;
+          summary.payload_bytes =
+              summary.payload_bytes + Bytes{slab.container.size()};
+        }
+        entry.slabs[slab.slab].stored_hash = stored_hash;
+        entry.slabs[slab.slab].stored_bytes = slab.container.size();
+        return Status::ok();
+      });
+  // Objects written before a failure are durable orphans until the next
+  // gc(); the generation itself is never published, so no reader can
+  // observe the partial dump.
+  const auto old_end = static_cast<std::ptrdiff_t>(stored_objects_.size());
+  stored_objects_.insert(stored_objects_.end(), written.begin(), written.end());
+  std::inplace_merge(stored_objects_.begin(), stored_objects_.begin() + old_end,
+                     stored_objects_.end());
+  if (!walked.is_ok()) {
+    return walked.with_context("incremental dump");
   }
   entry.dirty_slabs = static_cast<std::uint32_t>(summary.dirty_slabs);
 

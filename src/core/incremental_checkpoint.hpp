@@ -14,10 +14,14 @@
 //
 //   - Dirty detection by raw-content hash. The journal records, per slab,
 //     the hash of the slab's RAW float bytes alongside the stored object's
-//     hash. The next dump re-hashes each raw slab and skips compression
+//     hash. A dump first re-hashes each raw slab and skips compression
 //     and transit entirely for slabs whose raw hash is unchanged — lossy
 //     codecs make "compress and compare" useless for this, so the raw
-//     hash is the dirty key and the stored hash is the object key.
+//     hash is the dirty key and the stored hash is the object key. The
+//     dirty slabs then go through compress::encode_slabs, the encode walk
+//     write_checkpoint and the streaming dump also run, on the caller's
+//     thread, with a sink that dedups and puts each object; so an object
+//     holds exactly the bytes of write_checkpoint's chunk for that slab.
 //
 //   - Append-only manifest journal. Each generation appends one entry
 //     (codec, bound, dims, and the per-slab hash table) to a logical

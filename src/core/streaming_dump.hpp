@@ -5,19 +5,22 @@
 // pipeline so slab i's frame chunk is on the wire while slab i+1 is still
 // compressing.
 //
-//   pool threads + caller (ThreadPool::parallel_for, out of order)
-//        |  compress slab s, park it by index
-//        v
-//   in-order shipping role: the thread that parks the next slab in order
-//   takes it (if free) and ships every consecutive parked slab
+//   caller: placeholder header, manifest chunk 0
+//   compress::encode_slabs(..., &pool): pool threads + caller compress
+//   slabs out of order; the thread that completes the run of slabs next
+//   in order takes the hand-off role and runs this engine's sink on every
+//   consecutive finished slab
 //        -> FramedWriter.append_chunk -> take_emitted()
 //        -> NfsClient::FileStream::append
-//   caller, after the loop: trailing manifest, frame tail, back-patch of
+//   caller, after the walk: trailing manifest, frame tail, back-patch of
 //   the frame header at offset 0
 //
-// Shipping runs on the compressing threads, one at a time, while the
-// others keep compressing; the dump starts no thread of its own, so its
-// CPU demand is the pool's and the caller's.
+// write_checkpoint and the incremental store run the same encode walk
+// with their own sinks and no pool. The sink runs on the compressing
+// threads, one at a time, while the others keep compressing; the dump
+// starts no thread of its own, so its CPU demand is the pool's and the
+// caller's. At most 4 compressed slabs wait in order for the sink before
+// compression stalls (a fixed backlog, see encode_slabs).
 //
 // The bytes that land on the server are byte-identical to
 // compress::write_checkpoint(field, options) — same manifest chunk 0,
@@ -46,10 +49,6 @@ struct StreamingDumpConfig {
   /// Codec, bound and slab size — the wire format contract is shared with
   /// compress::write_checkpoint.
   compress::CheckpointOptions checkpoint;
-  /// Backpressure bound in slabs: when this many compressed slabs wait in
-  /// order for the shipping thread, a thread that finishes another slab
-  /// waits for them to drain before it compresses more.
-  std::size_t queue_capacity = 4;
 };
 
 struct StreamingDumpStats {
@@ -58,7 +57,6 @@ struct StreamingDumpStats {
   Bytes payload_bytes;  ///< framed payload (manifest + slabs + replica)
   Bytes wire_bytes;     ///< bytes put on the wire, incl. placeholder header
   std::uint32_t frame_chunks = 0;
-  std::uint64_t queue_pushes = 0;  ///< compressed slabs handed to shipping
   /// Per-slab compression wall time, in slab order (worker-measured, so
   /// contention on an oversubscribed host is included).
   std::vector<Seconds> slab_seconds;

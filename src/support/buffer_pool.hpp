@@ -1,6 +1,5 @@
 #pragma once
-// Reusable buffer pools for the compression hot paths and the streaming
-// dump pipeline.
+// Reusable scratch buffers for the compression hot paths.
 //
 // The parallel compression collapse traced to allocation churn: every
 // chunk allocated (and freed) multi-hundred-KiB scratch vectors — codes,
@@ -10,24 +9,24 @@
 // serialized in the kernel instead of compressing. Recycling the scratch
 // keeps every allocation after warm-up thread-local and lock-free.
 //
-// Two pools:
 //   ScratchPool<T>  — per-thread free list of std::vector<T>. No locking;
 //                     ScratchPool<T>::local() hands each thread its own.
-//   SlabPool        — mutex-protected pool of byte buffers shared across
-//                     threads, used by the streaming dump engine to recycle
-//                     compressed-slab buffers between the producer (pool
-//                     workers) and the thread that ships them.
+//   ScratchLease<T> — RAII acquire/release on a ScratchPool<T>.
+//
+// Compressed slab containers are not pooled: each one is a fresh vector
+// that the slab encode walk (compress::encode_slabs) hands to its sink
+// and frees once the sink returns.
 //
 // Released buffers are poisoned (first kPoisonBytes overwritten with
 // kPoisonByte) so use-after-release reads deterministic garbage instead of
 // stale plausible data; the tsan/asan suites assert on the pattern.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "support/thread_annotations.hpp"
 
 namespace lcp {
 
@@ -122,38 +121,6 @@ class ScratchLease {
  private:
   ScratchPool<T>& pool_;
   std::vector<T> buf_;
-};
-
-/// Cross-thread pool of byte buffers (compressed slabs in the streaming
-/// dump pipeline). The shipping thread releases each slab after it hits
-/// the wire and a compression worker reuses it for a later slab, bounding the
-/// pipeline's allocation footprint at (depth + workers) slabs.
-class SlabPool {
- public:
-  /// `max_retained` of 0 keeps every released buffer.
-  explicit SlabPool(std::size_t max_retained = 0) noexcept
-      : max_retained_(max_retained) {}
-
-  SlabPool(const SlabPool&) = delete;
-  SlabPool& operator=(const SlabPool&) = delete;
-
-  /// An empty buffer with at least `reserve_hint` capacity when a recycled
-  /// one is available; freshly allocated otherwise.
-  [[nodiscard]] std::vector<std::uint8_t> acquire(std::size_t reserve_hint = 0);
-
-  /// Poisons and stores `buf` for reuse.
-  void release(std::vector<std::uint8_t>&& buf);
-
-  [[nodiscard]] std::size_t retained() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-
- private:
-  mutable Mutex mutex_;
-  std::vector<std::vector<std::uint8_t>> free_ LCP_GUARDED_BY(mutex_);
-  std::size_t max_retained_;
-  std::uint64_t hits_ LCP_GUARDED_BY(mutex_) = 0;
-  std::uint64_t misses_ LCP_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace lcp

@@ -100,6 +100,43 @@ TEST(IncrementalStoreTest, FirstDumpWritesEverySlab) {
             3u * summary->payload_bytes.bytes());
 }
 
+TEST(IncrementalStoreTest, GenerationOneObjectsAreWriteCheckpointSlabChunks) {
+  // A first dump re-encodes every slab through the same walk as
+  // write_checkpoint, so with nothing to diff against (d = 1) the stored
+  // objects are exactly the full dump's slab chunks.
+  for (const char* codec : {"sz", "zfp"}) {
+    SCOPED_TRACE(codec);
+    Rig rig{codec};
+    const auto field = ramp_field();
+    ASSERT_TRUE(rig.store.dump(field).has_value());
+
+    auto frame = compress::write_checkpoint(field, rig.opts.checkpoint);
+    ASSERT_TRUE(frame.has_value());
+    auto walked = compress::recover_framed(*frame);
+    ASSERT_TRUE(walked.has_value());
+    const std::size_t slabs = kElements / kChunk;
+    ASSERT_EQ(walked->chunks.size(), slabs + 2);
+    std::vector<std::string> names;
+    for (std::size_t s = 0; s < slabs; ++s) {
+      const auto payload = walked->chunks[s + 1].payload;
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(fnv1a64(payload)));
+      names.push_back(std::string{"ckpt/slabs/"} + hex);
+      for (NfsServer* server : {&rig.s0, &rig.s1, &rig.s2}) {
+        const auto object = server->read_file(names.back());
+        ASSERT_TRUE(object.has_value()) << "slab " << s;
+        EXPECT_TRUE(std::equal(object->begin(), object->end(),
+                               payload.begin(), payload.end()))
+            << "slab " << s;
+      }
+    }
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    EXPECT_EQ(rig.s0.list_files("ckpt/slabs/"), names);
+  }
+}
+
 TEST(IncrementalStoreTest, CleanRedumpWritesNothing) {
   Rig rig;
   const auto field = ramp_field();

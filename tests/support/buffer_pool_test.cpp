@@ -99,55 +99,5 @@ TEST(ScratchLeaseTest, ThreadLocalPoolsAreIndependent) {
   t2.join();
 }
 
-TEST(SlabPoolTest, RecyclesAcrossThreads) {
-  SlabPool pool;
-  auto slab = pool.acquire(4096);
-  slab.resize(4096, 0x11);
-  // Release from another thread (the streaming writer releases slabs the
-  // compression workers acquired).
-  std::thread releaser([&] { pool.release(std::move(slab)); });
-  releaser.join();
-  EXPECT_EQ(pool.retained(), 1u);
-
-  auto back = pool.acquire();
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_TRUE(back.empty());
-  EXPECT_GE(back.capacity(), 4096u);
-}
-
-TEST(SlabPoolTest, MaxRetainedCapsTheFreeList) {
-  SlabPool pool{2};
-  for (int i = 0; i < 6; ++i) {
-    std::vector<std::uint8_t> buf(256, 0xEE);
-    pool.release(std::move(buf));
-  }
-  EXPECT_EQ(pool.retained(), 2u);
-  EXPECT_EQ(pool.misses(), 0u);
-}
-
-TEST(SlabPoolTest, ConcurrentAcquireReleaseStress) {
-  SlabPool pool{16};
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kRounds = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, t] {
-      for (std::size_t i = 0; i < kRounds; ++i) {
-        auto buf = pool.acquire(1024);
-        ASSERT_TRUE(buf.empty());
-        buf.resize(512, static_cast<std::uint8_t>(t));
-        ASSERT_EQ(buf[100], static_cast<std::uint8_t>(t));
-        pool.release(std::move(buf));
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(pool.hits() + pool.misses(), kThreads * kRounds);
-  EXPECT_LE(pool.retained(), 16u);
-}
-
 }  // namespace
 }  // namespace lcp
