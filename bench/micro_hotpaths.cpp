@@ -23,6 +23,9 @@
 //   every other paired kernel: avx2 never worse than scalar beyond a
 //     0.85x noise tolerance
 //   identity: paired outputs bit-identical across dispatch levels
+//   zfp/{encode,decode}_planes{_n4,_n16,}: the plane coder has no
+//     dispatch, so each block size runs once; encoded bytes must equal the
+//     per-call reference coder's and decoding must return the input
 //   huffman/decode_slab: per-symbol throughput on 32 Ki-symbol slabs at
 //     least 0.5x the whole-field huffman/decode row, at the level the
 //     host runs
@@ -78,6 +81,7 @@
 #include "support/thread_pool.hpp"
 #include "tuning/codec_choice.hpp"
 #include "tuning/rule.hpp"
+#include "zfp_reference_coder.hpp"
 
 namespace {
 
@@ -229,9 +233,10 @@ void gate_never_worse(std::vector<std::string>& failures, const std::string& op,
 }
 
 void gate_identity(std::vector<std::string>& failures, const std::string& op,
-                   bool identical) {
+                   bool identical,
+                   const char* reference = "between scalar and avx2 dispatch") {
   if (!identical) {
-    failures.push_back(op + " outputs differ between scalar and avx2 dispatch");
+    failures.push_back(op + " outputs differ " + reference);
   }
 }
 
@@ -639,61 +644,75 @@ void bench_zlite(bool quick, std::vector<std::string>& failures) {
   }
 }
 
-void bench_zfp_planes(bool quick, std::vector<std::string>& failures) {
-  // Blocks of 64 negabinary coefficients with a low-frequency-first
-  // magnitude decay, mimicking post-transform ZFP blocks.
-  const std::size_t blocks = quick ? 512 : 2048;
-  constexpr std::size_t kBlock = 64;
+/// One block size of the ZFP plane coder: blocks of `block` negabinary
+/// coefficients with a low-frequency-first magnitude decay, mimicking
+/// post-transform ZFP blocks (4 coefficients for 1-D fields, as in
+/// ckpt_recover's HACC slabs; 16 for 2-D; 64 for 3-D). The coder has no
+/// dispatch, so each row runs once, gated on bytes identical to the
+/// per-call reference coder and on an exact round trip.
+void bench_zfp_block_size(std::size_t block, bool quick,
+                          std::vector<std::string>& failures) {
+  const std::size_t blocks = (quick ? 32768 : 131072) / block;
   lcp::Rng rng{37};
-  std::vector<std::uint64_t> nb(blocks * kBlock);
+  std::vector<std::uint64_t> nb(blocks * block);
   std::vector<unsigned> plane_hi(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     std::uint64_t all = 0;
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      const unsigned shift = 20 + static_cast<unsigned>((i * 40) / kBlock);
-      nb[b * kBlock + i] = rng.next_u64() >> shift;
-      all |= nb[b * kBlock + i];
+    for (std::size_t i = 0; i < block; ++i) {
+      const unsigned shift = 20 + static_cast<unsigned>((i * 40) / block);
+      nb[b * block + i] = rng.next_u64() >> shift;
+      all |= nb[b * block + i];
     }
     if (all == 0) {
-      nb[b * kBlock] = 1;
+      nb[b * block] = 1;
       all = 1;
     }
     plane_hi[b] = static_cast<unsigned>(std::bit_width(all) - 1);
   }
   const std::size_t bytes = nb.size() * sizeof(std::uint64_t);
+  // The 64-coefficient rows keep their historical names.
+  const std::string suffix = block == 64 ? "" : "_n" + std::to_string(block);
+  const std::size_t reps = quick ? 5 : 7;
 
+  const std::string enc_op = "zfp/encode_planes" + suffix;
   std::vector<std::uint8_t> blob;
-  const auto enc = run_paired("zfp/encode_planes", quick ? 5 : 7, bytes, [&] {
+  run_case(enc_op, reps, bytes, 0, [&] {
     lcp::BitWriter writer;
     for (std::size_t b = 0; b < blocks; ++b) {
-      lcp::zfp::encode_block_planes({nb.data() + b * kBlock, kBlock},
+      lcp::zfp::encode_block_planes({nb.data() + b * block, block},
                                     plane_hi[b], 0, writer);
     }
     blob = writer.finish();
   });
-  gate_never_worse(failures, "zfp/encode_planes", enc);
   {
-    lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kScalar};
     lcp::BitWriter writer;
     for (std::size_t b = 0; b < blocks; ++b) {
-      lcp::zfp::encode_block_planes({nb.data() + b * kBlock, kBlock},
-                                    plane_hi[b], 0, writer);
+      lcp::zfp::reference::encode_block_planes({nb.data() + b * block, block},
+                                               plane_hi[b], 0, writer);
     }
-    gate_identity(failures, "zfp/encode_planes", writer.finish() == blob);
+    gate_identity(failures, enc_op, writer.finish() == blob,
+                  "from the per-call reference coder");
   }
 
+  const std::string dec_op = "zfp/decode_planes" + suffix;
   std::vector<std::uint64_t> coeffs(nb.size());
-  const auto dec = run_paired("zfp/decode_planes", quick ? 5 : 7, bytes, [&] {
+  run_case(dec_op, reps, bytes, 0, [&] {
     lcp::BitReader reader{blob};
     std::fill(coeffs.begin(), coeffs.end(), 0);
     for (std::size_t b = 0; b < blocks; ++b) {
       const bool ok = lcp::zfp::decode_block_planes(
-          {coeffs.data() + b * kBlock, kBlock}, plane_hi[b], 0, reader);
+          {coeffs.data() + b * block, block}, plane_hi[b], 0, reader);
       LCP_REQUIRE(ok, "zfp plane decode failed in benchmark");
     }
   });
-  gate_never_worse(failures, "zfp/decode_planes", dec);
-  gate_identity(failures, "zfp/decode_planes", coeffs == nb);
+  gate_identity(failures, dec_op, coeffs == nb,
+                "from the encoded coefficients");
+}
+
+void bench_zfp_planes(bool quick, std::vector<std::string>& failures) {
+  for (std::size_t block : {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
+    bench_zfp_block_size(block, quick, failures);
+  }
 }
 
 void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {

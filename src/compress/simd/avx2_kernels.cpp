@@ -373,24 +373,4 @@ void unshuffle_bytes(const std::uint8_t* bytes, std::size_t n,
   }
 }
 
-std::uint64_t gather_plane(const std::uint64_t* coeffs, unsigned plane,
-                           std::size_t count) noexcept {
-  std::uint64_t word = 0;
-  const int shift = 63 - static_cast<int>(plane);
-  std::size_t t = 0;
-  for (; t + 4 <= count; t += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(coeffs + t));
-    // Move bit `plane` to the sign position and harvest 4 signs at once.
-    const __m256i s = _mm256_slli_epi64(v, shift);
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(s)));
-    word |= static_cast<std::uint64_t>(mask) << t;
-  }
-  for (; t < count; ++t) {
-    word |= ((coeffs[t] >> plane) & 1U) << t;
-  }
-  return word;
-}
-
 }  // namespace lcp::simd::avx2

@@ -84,13 +84,4 @@ void shuffle_bytes(const float* values, std::size_t n,
 void unshuffle_bytes(const std::uint8_t* bytes, std::size_t n,
                      float* out) noexcept;
 
-// --- ZFP embedded coder (zfp/embedded_coder.cpp) ----------------------------
-
-/// Extract bit `plane` from up to 64 coefficient words into one plane word
-/// (bit t of the result = bit `plane` of coeffs[t]), via shift-to-sign +
-/// movemask over 4 words per iteration.
-[[nodiscard]] std::uint64_t gather_plane(const std::uint64_t* coeffs,
-                                         unsigned plane,
-                                         std::size_t count) noexcept;
-
 }  // namespace lcp::simd::avx2

@@ -1,6 +1,6 @@
 #pragma once
 // SIMD dispatch for the codec hot kernels (SZ prequant/Lorenzo, Huffman
-// decode, byte shuffle, zlite, ZFP plane gather).
+// decode, byte shuffle, zlite).
 //
 // Resolution order: the level is kAvx2 only when (a) the AVX2 translation
 // unit was compiled into this binary (x86-64 build with a -mavx2-capable
@@ -10,10 +10,10 @@
 //
 // Every vector kernel has a scalar twin producing bit-identical bytes:
 // the quantization grid, quantization codes, exact-value side stream,
-// Huffman symbol stream, shuffled planes and ZFP plane words are all equal
-// under either level, so framing/checkpoint/replica invariants never
-// depend on the host's instruction set. simd_identity_test pins this
-// across codec x rank x bound x size.
+// Huffman symbol stream and shuffled planes are all equal under either
+// level, so framing/checkpoint/replica invariants never depend on the
+// host's instruction set. simd_identity_test pins this across codec x rank
+// x bound x size.
 
 #include <cstdint>
 

@@ -31,9 +31,9 @@ std::size_t BlockGrid::block_count() const noexcept {
   return n;
 }
 
-BlockGrid::BlockBox BlockGrid::box(std::size_t b) const {
+BlockGrid::Box BlockGrid::box(std::size_t b) const {
   LCP_REQUIRE(b < block_count(), "block index out of range");
-  BlockBox out;
+  Box out;
   // Decompose b in row-major block coordinates (slowest axis first).
   std::size_t rem = b;
   for (std::size_t a = ext_.size(); a-- > 0;) {
@@ -45,10 +45,21 @@ BlockGrid::BlockBox BlockGrid::box(std::size_t b) const {
   return out;
 }
 
-void BlockGrid::gather(std::span<const float> field, std::size_t b,
+void BlockGrid::next(Box& box) const noexcept {
+  for (std::size_t a = ext_.size(); a-- > 0;) {
+    box.origin[a] += 4;
+    if (box.origin[a] < ext_[a]) {
+      box.valid[a] = std::min<std::size_t>(4, ext_[a] - box.origin[a]);
+      return;
+    }
+    box.origin[a] = 0;  // carry into the next slower axis
+    box.valid[a] = std::min<std::size_t>(4, ext_[a]);
+  }
+}
+
+void BlockGrid::gather(std::span<const float> field, const Box& bb,
                        std::span<float> out) const {
   LCP_REQUIRE(out.size() == block_elements(), "gather output size mismatch");
-  const BlockBox bb = box(b);
   const std::size_t r = rank();
 
   if (r == 1) {
@@ -83,10 +94,9 @@ void BlockGrid::gather(std::span<const float> field, std::size_t b,
   }
 }
 
-void BlockGrid::scatter(std::span<const float> in, std::size_t b,
+void BlockGrid::scatter(std::span<const float> in, const Box& bb,
                         std::span<float> field) const {
   LCP_REQUIRE(in.size() == block_elements(), "scatter input size mismatch");
-  const BlockBox bb = box(b);
   const std::size_t r = rank();
 
   if (r == 1) {

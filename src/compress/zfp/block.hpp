@@ -27,22 +27,30 @@ class BlockGrid {
   }
   [[nodiscard]] std::size_t block_count() const noexcept;
 
-  /// Copies block `b` into `out` (size block_elements()), replicating edge
-  /// samples into the padding of boundary blocks.
-  void gather(std::span<const float> field, std::size_t b,
-              std::span<float> out) const;
-
-  /// Writes block `b` from `in` back into `field`, skipping padding.
-  void scatter(std::span<const float> in, std::size_t b,
-               std::span<float> field) const;
-
- private:
-  struct BlockBox {
+  /// One block's place in the field.
+  struct Box {
     std::array<std::size_t, 3> origin{};
     std::array<std::size_t, 3> valid{};  // in-domain extent per axis (1..4)
   };
-  [[nodiscard]] BlockBox box(std::size_t b) const;
 
+  /// Box of block `b` in row-major block order (slowest axis first).
+  [[nodiscard]] Box box(std::size_t b) const;
+
+  /// Steps `box` to the next block in index order, carrying coordinates
+  /// instead of decomposing an index; the last block steps to the first.
+  void next(Box& box) const noexcept;
+
+  /// Copies the block at `box` into `out` (size block_elements()),
+  /// replicating edge samples into the padding of boundary blocks.
+  void gather(std::span<const float> field, const Box& box,
+              std::span<float> out) const;
+
+  /// Writes the block at `box` from `in` back into `field`, skipping
+  /// padding.
+  void scatter(std::span<const float> in, const Box& box,
+               std::span<float> field) const;
+
+ private:
   std::vector<std::size_t> ext_;     // field extents, padded to rank entries
   std::vector<std::size_t> blocks_;  // block counts per axis
 };

@@ -7,6 +7,15 @@
 // ordered suffix, exploiting the low-frequency-first coefficient order.
 // Truncating the stream after any plane yields a valid coarser block —
 // the "embedded coding" the ZFP paper describes.
+//
+// The coder works in registers: each plane's bits are gathered into one
+// word (a 64-coefficient block transposes all of them at once), every
+// (flag, unary run) token is one write into a block-local 64-bit
+// accumulator that hands the BitWriter only whole words, and the decoder
+// parses each token out of a window peeked at the reader's cursor with one
+// countr_zero. tests/compress/zfp_reference_coder.hpp keeps the per-call
+// coder that defines the format, and the differential suite holds the two
+// bit-identical.
 
 #include <cstdint>
 #include <span>
@@ -16,13 +25,14 @@
 namespace lcp::zfp {
 
 /// Encodes planes [plane_lo, plane_hi] (inclusive, hi >= lo) of `coeffs`
-/// into `writer`. Coefficients must already be in visit order.
+/// (at most 64, already in visit order) into `writer`.
 void encode_block_planes(std::span<const std::uint64_t> coeffs,
                          unsigned plane_hi, unsigned plane_lo,
                          BitWriter& writer);
 
 /// Decodes planes written by encode_block_planes into `coeffs` (zeroed by
-/// the caller). Returns false if the stream ended prematurely.
+/// the caller). Returns false if the stream ended prematurely or names a
+/// coefficient past the block.
 [[nodiscard]] bool decode_block_planes(std::span<std::uint64_t> coeffs,
                                        unsigned plane_hi, unsigned plane_lo,
                                        BitReader& reader);

@@ -6,7 +6,6 @@
 // under LCP_FORCE_SCALAR=1) where only one level is reachable — there is
 // nothing to compare.
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -24,7 +23,6 @@
 #include "compress/sz/quantizer.hpp"
 #include "compress/sz/sz_compressor.hpp"
 #include "compress/sz/zlite.hpp"
-#include "compress/zfp/embedded_coder.hpp"
 #include "data/field.hpp"
 #include "support/bitstream.hpp"
 #include "support/rng.hpp"
@@ -453,50 +451,6 @@ TEST(SimdIdentityTest, ZliteBytesIdenticalAcrossLevels) {
     auto restored = lcp::sz::zlite_decompress(packed_s, planes.size());
     ASSERT_TRUE(restored.has_value());
     EXPECT_EQ(*restored, planes);
-  }
-}
-
-// Plane gather feeds both the variable and capped ZFP coders; coefficient
-// counts off the 4-word group width exercise the masked tail.
-TEST(SimdIdentityTest, ZfpPlaneCoderBitIdentical) {
-  SKIP_WITHOUT_AVX2();
-  for (std::size_t count :
-       {std::size_t{1}, std::size_t{7}, std::size_t{50}, std::size_t{64}}) {
-    SCOPED_TRACE(count);
-    lcp::Rng rng{static_cast<unsigned>(count) + 3};
-    std::vector<std::uint64_t> coeffs(count);
-    std::uint64_t all = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      coeffs[i] = rng.next_u64() >> (i % 23);
-      all |= coeffs[i];
-    }
-    if (all == 0) {
-      coeffs[0] = all = 1;
-    }
-    const auto hi = static_cast<unsigned>(std::bit_width(all) - 1);
-
-    std::vector<std::uint8_t> blob_s, blob_v;
-    {
-      ScopedSimdLevel guard{SimdLevel::kScalar};
-      lcp::BitWriter writer;
-      lcp::zfp::encode_block_planes(coeffs, hi, 0, writer);
-      blob_s = writer.finish();
-    }
-    {
-      ScopedSimdLevel guard{SimdLevel::kAvx2};
-      lcp::BitWriter writer;
-      lcp::zfp::encode_block_planes(coeffs, hi, 0, writer);
-      blob_v = writer.finish();
-    }
-    ASSERT_EQ(blob_s, blob_v);
-
-    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-      ScopedSimdLevel guard{level};
-      std::vector<std::uint64_t> out(count, 0);
-      lcp::BitReader reader{blob_s};
-      ASSERT_TRUE(lcp::zfp::decode_block_planes(out, hi, 0, reader));
-      EXPECT_EQ(out, coeffs);
-    }
   }
 }
 

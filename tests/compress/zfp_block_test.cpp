@@ -40,8 +40,8 @@ TEST(BlockGridTest, GatherScatterRoundTripsExactMultiples) {
   std::vector<float> rebuilt(64, -1.0F);
   std::vector<float> block(grid.block_elements());
   for (std::size_t b = 0; b < grid.block_count(); ++b) {
-    grid.gather(field, b, block);
-    grid.scatter(block, b, rebuilt);
+    grid.gather(field, grid.box(b), block);
+    grid.scatter(block, grid.box(b), rebuilt);
   }
   EXPECT_EQ(rebuilt, field);
 }
@@ -61,10 +61,29 @@ TEST(BlockGridTest, GatherScatterRoundTripsRaggedEdges) {
     std::vector<float> rebuilt(n, -99.0F);
     std::vector<float> block(grid.block_elements());
     for (std::size_t b = 0; b < grid.block_count(); ++b) {
-      grid.gather(field, b, block);
-      grid.scatter(block, b, rebuilt);
+      grid.gather(field, grid.box(b), block);
+      grid.scatter(block, grid.box(b), rebuilt);
     }
     EXPECT_EQ(rebuilt, field) << "rank " << ext.size();
+  }
+}
+
+TEST(BlockGridTest, NextWalksEveryBoxInIndexOrder) {
+  // The codec walks blocks by carried coordinates; every step must land on
+  // the box the index decomposition gives, ragged edges included, and the
+  // step after the last block wraps to the first.
+  for (const auto& ext :
+       {std::vector<std::size_t>{5}, std::vector<std::size_t>{8},
+        std::vector<std::size_t>{5, 7}, std::vector<std::size_t>{3, 5, 6},
+        std::vector<std::size_t>{4, 9, 1}}) {
+    BlockGrid grid{ext};
+    BlockGrid::Box box = grid.box(0);
+    for (std::size_t b = 0; b < grid.block_count(); ++b, grid.next(box)) {
+      const BlockGrid::Box want = grid.box(b);
+      EXPECT_EQ(box.origin, want.origin) << "rank " << ext.size() << " b " << b;
+      EXPECT_EQ(box.valid, want.valid) << "rank " << ext.size() << " b " << b;
+    }
+    EXPECT_EQ(box.origin, grid.box(0).origin) << "rank " << ext.size();
   }
 }
 
@@ -72,7 +91,7 @@ TEST(BlockGridTest, BoundaryPaddingReplicatesEdge) {
   BlockGrid grid{{5}};  // blocks [0..3], [4..7 padded]
   std::vector<float> field = {1, 2, 3, 4, 5};
   std::vector<float> block(4);
-  grid.gather(field, 1, block);
+  grid.gather(field, grid.box(1), block);
   EXPECT_EQ(block, (std::vector<float>{5, 5, 5, 5}));
 }
 
@@ -81,7 +100,7 @@ TEST(BlockGridTest, ScatterNeverWritesOutsideDomain) {
   std::vector<float> field(25, 0.0F);
   std::vector<float> block(16, 9.0F);
   for (std::size_t b = 0; b < grid.block_count(); ++b) {
-    grid.scatter(block, b, field);
+    grid.scatter(block, grid.box(b), field);
   }
   for (float v : field) {
     EXPECT_EQ(v, 9.0F);  // all 25 in-domain cells written, none skipped
