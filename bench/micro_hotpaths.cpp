@@ -1,9 +1,10 @@
 // Micro-benchmarks for the hot paths touched by the kernel overhaul:
 // thread-pool dispatch, the fused SZ predict+quantize pass, canonical
 // Huffman encode/decode (whole field and checkpoint slabs), raw bitstream
-// write/read, the byte-shuffle and zlite lossless kernels, ZFP embedded
-// plane coding, and the streaming dump engine (the pooled slab
-// compression path) across worker counts.
+// write/read, the byte-shuffle and zlite lossless kernels, the CRC32C and
+// batched FNV-1a integrity hashes, ZFP embedded plane coding, and the
+// streaming dump engine (the pooled slab compression path) across worker
+// counts.
 //
 // Unlike the figure/table benches this is a plain timing harness (no
 // google-benchmark) so it can emit a stable machine-readable summary:
@@ -20,8 +21,9 @@
 // spot check between the two dispatch levels' outputs. Gates (exit code):
 //   sz/predict_quantize_fused and huffman/decode: avx2 >= 2x scalar at
 //     full scale (>= 1.5x at --quick scale) when the host has AVX2
-//   every other paired kernel: avx2 never worse than scalar beyond a
-//     0.85x noise tolerance
+//   every other paired kernel (support/crc32c and support/fnv1a64_many
+//     among them): avx2 never worse than scalar beyond a 0.85x noise
+//     tolerance
 //   identity: paired outputs bit-identical across dispatch levels
 //   zfp/{encode,decode}_planes{_n4,_n16,}: the plane coder has no
 //     dispatch, so each block size runs once; encoded bytes must equal the
@@ -47,8 +49,11 @@
 // The Eqn 3 section re-derives the compute/transit crossover bandwidth B*
 // from each dispatch level's measured end-to-end codec throughput
 // (tuning/codec_choice.hpp): a faster codec shrinks the compute term and
-// moves B* upward, so the gate checks B*_avx2 >= B*_scalar and that the
-// compress-or-raw decision actually flips between the two crossovers.
+// moves B* upward, so the gate checks B*_avx2 >= B*_scalar when avx2
+// measured faster, and that the compress-or-raw decision actually flips
+// between the two crossovers (the higher-B* profile compresses at their
+// geometric mean, the other ships raw). The two levels' codec runs
+// interleave rep by rep, like the paired kernels.
 
 #include <algorithm>
 #include <atomic>
@@ -59,11 +64,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "compress/lossless/shuffle_codec.hpp"
-#include "compress/simd/dispatch.hpp"
 #include "compress/sz/huffman.hpp"
 #include "compress/sz/pipeline.hpp"
 #include "compress/sz/quantizer.hpp"
@@ -76,6 +81,8 @@
 #include "io/transit_model.hpp"
 #include "power/chip_model.hpp"
 #include "support/bitstream.hpp"
+#include "support/checksum.hpp"
+#include "support/dispatch.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 #include "support/thread_pool.hpp"
@@ -644,6 +651,44 @@ void bench_zlite(bool quick, std::vector<std::string>& failures) {
   }
 }
 
+void bench_checksums(bool quick, std::vector<std::string>& failures) {
+  // One 8 MiB stream for CRC32C (a raw NYX 128^3 field), and the same
+  // bytes cut into 128 KiB slab views plus a ragged tail for the store's
+  // raw-hash pass.
+  const std::size_t mib = quick ? 1 : 8;
+  const std::size_t n = (mib << 20) + (std::size_t{12} << 10);
+  lcp::Rng rng{37};
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+
+  std::uint32_t crc = 0;
+  const auto c = run_paired("support/crc32c", quick ? 5 : 9, n,
+                            [&] { crc = lcp::crc32c(bytes); });
+  gate_never_worse(failures, "support/crc32c", c);
+  {
+    lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kScalar};
+    gate_identity(failures, "support/crc32c", lcp::crc32c(bytes) == crc);
+  }
+
+  constexpr std::size_t kSlabBytes = std::size_t{128} << 10;
+  std::vector<std::span<const std::uint8_t>> slabs;
+  for (std::size_t at = 0; at < n; at += kSlabBytes) {
+    slabs.emplace_back(bytes.data() + at, std::min(kSlabBytes, n - at));
+  }
+  std::vector<std::uint64_t> hashes(slabs.size());
+  const auto f = run_paired("support/fnv1a64_many", quick ? 5 : 7, n,
+                            [&] { lcp::fnv1a64_many(slabs, hashes); });
+  gate_never_worse(failures, "support/fnv1a64_many", f);
+  bool serial_equal = true;
+  for (std::size_t i = 0; i < slabs.size(); ++i) {
+    serial_equal = serial_equal && hashes[i] == lcp::fnv1a64(slabs[i]);
+  }
+  gate_identity(failures, "support/fnv1a64_many", serial_equal,
+                "from the serial fnv1a64");
+}
+
 /// One block size of the ZFP plane coder: blocks of `block` negabinary
 /// coefficients with a low-frequency-first magnitude decay, mimicking
 /// post-transform ZFP blocks (4 coefficients for 1-D fields, as in
@@ -839,28 +884,34 @@ void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
   const auto rule = lcp::tuning::paper_rule();
   const lcp::Bytes dump_bytes{std::uint64_t{4} << 30};  // one 4 GiB dump
 
-  double bstar[2] = {0.0, 0.0};
-  double throughput[2] = {0.0, 0.0};
-  lcp::tuning::CodecCostProfile profiles[2];
-  for (std::size_t l = 0; l < nlevels; ++l) {
-    ScopedSimdLevel guard{levels[l]};
-    double best_ns = 0.0;
-    double ratio = 1.0;
-    const std::size_t reps = quick ? 2 : 4;
-    for (std::size_t rep = 0; rep <= reps; ++rep) {
+  // The two levels are timed rep by rep, interleaved, so host load lands
+  // on both profiles alike instead of on whichever level ran second.
+  const std::size_t reps = quick ? 2 : 4;
+  double best_ns[2] = {0.0, 0.0};
+  double ratio[2] = {1.0, 1.0};
+  for (std::size_t rep = 0; rep <= reps; ++rep) {
+    for (std::size_t l = 0; l < nlevels; ++l) {
+      ScopedSimdLevel guard{levels[l]};
       const auto start = Clock::now();
       auto result = codec.compress(field, bound);
       const auto stop = Clock::now();
       LCP_REQUIRE(result.has_value(), "sz compress failed in eqn3 bench");
-      ratio = static_cast<double>(result->output_bytes.bytes()) / input_bytes;
+      ratio[l] =
+          static_cast<double>(result->output_bytes.bytes()) / input_bytes;
       const double ns =
           std::chrono::duration<double, std::nano>(stop - start).count();
-      if (rep > 0 && (best_ns == 0.0 || ns < best_ns)) {
-        best_ns = ns;  // rep 0 is warm-up
+      if (rep > 0 && (best_ns[l] == 0.0 || ns < best_ns[l])) {
+        best_ns[l] = ns;  // rep 0 is warm-up
       }
     }
-    throughput[l] = input_bytes / best_ns;  // bytes per ns == GB/s
-    push_record("sz/compress_e2e", best_ns,
+  }
+
+  double bstar[2] = {0.0, 0.0};
+  double throughput[2] = {0.0, 0.0};
+  lcp::tuning::CodecCostProfile profiles[2];
+  for (std::size_t l = 0; l < nlevels; ++l) {
+    throughput[l] = input_bytes / best_ns[l];  // bytes per ns == GB/s
+    push_record("sz/compress_e2e", best_ns[l],
                 static_cast<std::size_t>(input_bytes), reps, 0,
                 lcp::simd::simd_level_name(levels[l]));
 
@@ -868,7 +919,7 @@ void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
     profile.name =
         std::string{"sz/"} + lcp::simd::simd_level_name(levels[l]);
     profile.gigabytes_per_second = throughput[l];
-    profile.ratio = ratio;
+    profile.ratio = ratio[l];
     bstar[l] = lcp::tuning::crossover_bandwidth_gbps(spec, profile,
                                                      dump_bytes, transit,
                                                      rule);
@@ -880,7 +931,7 @@ void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
     rec.dispatch = lcp::simd::simd_level_name(levels[l]);
     g_records.push_back(rec);
     std::printf("%-34s  B* = %.2f Gbit/s  (%.2f GB/s codec, ratio %.3f) [%s]\n",
-                "eqn3/crossover", bstar[l], throughput[l], ratio,
+                "eqn3/crossover", bstar[l], throughput[l], ratio[l],
                 rec.dispatch.c_str());
   }
 
@@ -889,7 +940,8 @@ void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
   }
   // Faster kernels must push the crossover up (or the model broke), and at
   // a bandwidth between the two crossovers the plans must actually differ:
-  // the scalar profile ships raw where the SIMD profile still compresses.
+  // the profile with the higher crossover still compresses where the other
+  // ships raw. Which level that is depends on which measured faster.
   if (throughput[1] > throughput[0] && bstar[1] < bstar[0] * 0.999) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
@@ -898,17 +950,21 @@ void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
     failures.emplace_back(buf);
   }
   if (std::fabs(bstar[1] - bstar[0]) > 0.01 * bstar[0]) {
+    const std::size_t high = bstar[1] > bstar[0] ? 1 : 0;
+    const std::size_t low = 1 - high;
     auto mid_transit = transit;
     mid_transit.link.gigabits_per_second = std::sqrt(bstar[0] * bstar[1]);
-    const auto lo = lcp::tuning::compress_or_raw(
-        spec, profiles[0], dump_bytes, mid_transit, rule);
-    const auto hi = lcp::tuning::compress_or_raw(
-        spec, profiles[1], dump_bytes, mid_transit, rule);
-    std::printf("  at %.2f Gbit/s: scalar plan %s, avx2 plan %s\n",
+    const auto high_plan = lcp::tuning::compress_or_raw(
+        spec, profiles[high], dump_bytes, mid_transit, rule);
+    const auto low_plan = lcp::tuning::compress_or_raw(
+        spec, profiles[low], dump_bytes, mid_transit, rule);
+    std::printf("  at %.2f Gbit/s: %s plan %s, %s plan %s\n",
                 mid_transit.link.gigabits_per_second,
-                lo.compress ? "compress" : "raw",
-                hi.compress ? "compress" : "raw");
-    if (lo.compress || !hi.compress) {
+                lcp::simd::simd_level_name(levels[low]),
+                low_plan.compress ? "compress" : "raw",
+                lcp::simd::simd_level_name(levels[high]),
+                high_plan.compress ? "compress" : "raw");
+    if (low_plan.compress || !high_plan.compress) {
       failures.push_back(
           "eqn3 decision did not flip between scalar and avx2 crossovers");
     }
@@ -945,6 +1001,7 @@ int main(int argc, char** argv) {
   bench_bitstream(quick);
   bench_shuffle(quick, failures);
   bench_zlite(quick, failures);
+  bench_checksums(quick, failures);
   bench_zfp_planes(quick, failures);
   bench_streaming_dump(quick, failures);
   bench_eqn3_crossover(quick, failures);

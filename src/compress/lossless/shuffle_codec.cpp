@@ -4,9 +4,9 @@
 #include <cstring>
 
 #include "compress/common/container.hpp"
-#include "compress/simd/dispatch.hpp"
 #include "compress/sz/zlite.hpp"
 #include "support/bytestream.hpp"
+#include "support/dispatch.hpp"
 #include "support/timer.hpp"
 
 #if defined(LCP_HAVE_AVX2_BUILD)

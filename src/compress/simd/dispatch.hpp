@@ -1,56 +1,6 @@
 #pragma once
-// SIMD dispatch for the codec hot kernels (SZ prequant/Lorenzo, Huffman
-// decode, byte shuffle, zlite).
-//
-// Resolution order: the level is kAvx2 only when (a) the AVX2 translation
-// unit was compiled into this binary (x86-64 build with a -mavx2-capable
-// compiler), (b) the host CPU reports AVX2, and (c) LCP_FORCE_SCALAR is not
-// set. Each kernel entry point queries simd_level() once per pass and then
-// runs a straight-line loop — no per-element dispatch.
-//
-// Every vector kernel has a scalar twin producing bit-identical bytes:
-// the quantization grid, quantization codes, exact-value side stream,
-// Huffman symbol stream and shuffled planes are all equal under either
-// level, so framing/checkpoint/replica invariants never depend on the
-// host's instruction set. simd_identity_test pins this across codec x rank
-// x bound x size.
+// The dispatch switch now lives in support/dispatch.hpp, where the
+// checksum kernels can reach it too. This header keeps the old include
+// path building for code outside src/ that still names it.
 
-#include <cstdint>
-
-namespace lcp::simd {
-
-/// Dispatch levels, ordered: a level implies all lower ones.
-enum class SimdLevel : std::uint8_t {
-  kScalar = 0,
-  kAvx2 = 1,
-};
-
-/// The level kernels run at right now (build gate, cpuid, LCP_FORCE_SCALAR
-/// and any active ScopedSimdLevel override combined). Cheap: one relaxed
-/// atomic load after first resolution.
-[[nodiscard]] SimdLevel simd_level() noexcept;
-
-/// The level the build + host support, ignoring overrides (but honouring
-/// LCP_FORCE_SCALAR). What ScopedSimdLevel requests are clamped to.
-[[nodiscard]] SimdLevel hardware_simd_level() noexcept;
-
-/// "scalar" / "avx2" — stable strings used by bench JSON keys.
-[[nodiscard]] const char* simd_level_name(SimdLevel level) noexcept;
-
-/// RAII override for tests and benches: forces dispatch down to `level`
-/// (requests above hardware_simd_level() are clamped, so asking for kAvx2
-/// on a scalar-only host/build is a safe no-op). Restores the previous
-/// override on destruction; nestable. Affects the whole process.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) noexcept;
-  ~ScopedSimdLevel();
-
-  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
-  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
-
- private:
-  int previous_;
-};
-
-}  // namespace lcp::simd
+#include "support/dispatch.hpp"  // IWYU pragma: export

@@ -4,9 +4,9 @@
 #include <array>
 #include <cstring>
 
-#include "compress/simd/dispatch.hpp"
 #include "support/buffer_pool.hpp"
 #include "support/bytestream.hpp"
+#include "support/dispatch.hpp"
 
 namespace lcp::sz {
 namespace {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "compress/simd/dispatch.hpp"
 #include "compress/sz/prequant.hpp"
 #include "support/buffer_pool.hpp"
+#include "support/dispatch.hpp"
 
 #if defined(LCP_HAVE_AVX2_BUILD)
 #include "compress/simd/avx2_kernels.hpp"

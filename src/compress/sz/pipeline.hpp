@@ -9,7 +9,7 @@
 // reconstruction would break the bound (or that fall off the grid) are
 // stored exactly. Removing the reconstructed-value feedback chain makes
 // the encoder embarrassingly parallel, which is what lets the AVX2
-// dispatch level (compress/simd/dispatch.hpp) run 8-lane kernels that are
+// dispatch level (support/dispatch.hpp) run 8-lane kernels that are
 // bit-identical to the scalar path — same codes, same exact stream, same
 // decoded values, under either dispatch level.
 

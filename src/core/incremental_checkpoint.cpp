@@ -559,12 +559,19 @@ Expected<DumpSummary> IncrementalCheckpointStore::dump(
 
   // Raw-hash pass: a slab whose raw floats hash as in the parent keeps
   // the parent's record; the others are dirty and go through the encode
-  // walk.
+  // walk. The slabs are hashed in one batch: views into the field, no
+  // copy of its bytes.
+  std::vector<std::span<const std::uint8_t>> raw(slab_count);
+  for (std::size_t s = 0; s < slab_count; ++s) {
+    const auto values = layout.slab_values(field, s);
+    raw[s] = {reinterpret_cast<const std::uint8_t*>(values.data()),
+              values.size_bytes()};
+  }
+  std::vector<std::uint64_t> raw_hashes(slab_count);
+  fnv1a64_many(raw, raw_hashes);
   std::vector<std::size_t> dirty;
   for (std::size_t s = 0; s < slab_count; ++s) {
-    const auto raw = layout.slab_values(field, s);
-    const std::uint64_t raw_hash = fnv1a64(
-        {reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size_bytes()});
+    const std::uint64_t raw_hash = raw_hashes[s];
     if (parent_comparable && parent->slabs[s].raw_hash == raw_hash) {
       entry.slabs[s] = parent->slabs[s];
     } else {

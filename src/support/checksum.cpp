@@ -1,6 +1,14 @@
 #include "support/checksum.hpp"
 
+#include <algorithm>
 #include <array>
+
+#include "support/dispatch.hpp"
+#include "support/status.hpp"
+
+#if defined(LCP_HAVE_AVX2_BUILD)
+#include "support/checksum_avx2.hpp"
+#endif
 
 namespace lcp {
 namespace {
@@ -40,6 +48,11 @@ constexpr Tables kTables = build_tables();
 
 std::uint32_t crc32c_update(std::uint32_t state,
                             std::span<const std::uint8_t> data) noexcept {
+#if defined(LCP_HAVE_AVX2_BUILD)
+  if (simd::simd_level() >= simd::SimdLevel::kAvx2) {
+    return simd::avx2::crc32c_update(state, data.data(), data.size());
+  }
+#endif
   std::uint32_t crc = state;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
@@ -78,6 +91,66 @@ std::uint64_t fnv1a64_update(std::uint64_t state,
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
   return fnv1a64_update(kFnv1a64Init, data);
+}
+
+void fnv1a64_many(std::span<const std::span<const std::uint8_t>> inputs,
+                  std::span<std::uint64_t> out) noexcept {
+  LCP_REQUIRE(out.size() == inputs.size(),
+              "fnv1a64_many needs one output per input");
+  std::size_t i = 0;
+#if defined(LCP_HAVE_AVX2_BUILD)
+  if (simd::simd_level() >= simd::SimdLevel::kAvx2) {
+    // One 8-lane step costs about three serial byte steps, so lanes run
+    // while at least half of them still have bytes; an exhausted lane
+    // rides along on another lane's bytes and its result is dropped.
+    constexpr std::size_t kMinLiveLanes = 4;
+    for (; i + 8 <= inputs.size(); i += 8) {
+      const auto group = inputs.subspan(i, 8);
+      std::uint64_t state[8] = {};
+      std::size_t done[8] = {};
+      for (std::size_t k = 0; k < 8; ++k) {
+        state[k] = kFnv1a64Init;
+      }
+      for (;;) {
+        std::size_t live = 0;
+        std::size_t step = 0;
+        std::size_t lead = 0;
+        for (std::size_t k = 0; k < 8; ++k) {
+          const std::size_t left = group[k].size() - done[k];
+          if (left > 0) {
+            step = live == 0 ? left : std::min(step, left);
+            lead = k;
+            ++live;
+          }
+        }
+        if (live < kMinLiveLanes) {
+          break;
+        }
+        const std::uint8_t* lanes[8] = {};
+        std::uint64_t lane_state[8] = {};
+        for (std::size_t k = 0; k < 8; ++k) {
+          const bool running = done[k] < group[k].size();
+          const std::size_t src = running ? k : lead;
+          lanes[k] = group[src].data() + done[src];
+          lane_state[k] = state[k];
+        }
+        simd::avx2::fnv1a64_update_x8(lanes, step, lane_state);
+        for (std::size_t k = 0; k < 8; ++k) {
+          if (done[k] < group[k].size()) {
+            state[k] = lane_state[k];
+            done[k] += step;
+          }
+        }
+      }
+      for (std::size_t k = 0; k < 8; ++k) {
+        out[i + k] = fnv1a64_update(state[k], group[k].subspan(done[k]));
+      }
+    }
+  }
+#endif
+  for (; i < inputs.size(); ++i) {
+    out[i] = fnv1a64(inputs[i]);
+  }
 }
 
 }  // namespace lcp

@@ -3,6 +3,12 @@
 // stack) for end-to-end chunk integrity on the modeled I/O path. The
 // injected-fault tests rely on CRC32C's guaranteed detection of any
 // single-bit corruption within an RPC-sized chunk.
+//
+// Both checksums follow the SIMD dispatch level (support/dispatch.hpp):
+// at kAvx2 CRC32C runs on the SSE4.2 `crc32` instruction and
+// fnv1a64_many hashes 8 inputs per pass in AVX2 lanes. The portable
+// twins (slice-by-4 tables, byte-serial FNV-1a) give the same values, so
+// every frame, journal and slab name is independent of the host.
 
 #include <cstdint>
 #include <span>
@@ -44,5 +50,14 @@ inline constexpr std::uint64_t kFnv1a64Init = 0xCBF29CE484222325ull;
 
 /// One-shot FNV-1a 64 of `data` ("" -> kFnv1a64Init, "a" -> 0xAF63DC4C8601EC8C).
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept;
+
+/// out[i] = fnv1a64(inputs[i]) for every input; `out` must hold
+/// inputs.size() values. At kAvx2 each run of 8 consecutive inputs is
+/// hashed in 8 lanes while at least 4 of them still have bytes (a ragged
+/// input ends its lane early), and what the lanes leave is finished
+/// serially; at kScalar, or for fewer than 8 inputs left, every input is
+/// hashed serially. The values are the same either way.
+void fnv1a64_many(std::span<const std::span<const std::uint8_t>> inputs,
+                  std::span<std::uint64_t> out) noexcept;
 
 }  // namespace lcp

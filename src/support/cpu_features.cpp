@@ -15,6 +15,14 @@ bool detect_avx2() noexcept {
 #endif
 }
 
+bool detect_sse42() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("sse4.2") != 0;
+#else
+  return false;
+#endif
+}
+
 bool detect_force_scalar() noexcept {
   const char* raw = std::getenv("LCP_FORCE_SCALAR");
   if (raw == nullptr) {
@@ -31,6 +39,11 @@ bool detect_force_scalar() noexcept {
 
 bool cpu_supports_avx2() noexcept {
   static const bool cached = detect_avx2();
+  return cached;
+}
+
+bool cpu_supports_sse42() noexcept {
+  static const bool cached = detect_sse42();
   return cached;
 }
 

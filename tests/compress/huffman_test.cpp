@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "compress/simd/dispatch.hpp"
 #include "support/bitstream.hpp"
 #include "support/bytestream.hpp"
+#include "support/dispatch.hpp"
 #include "support/rng.hpp"
 
 namespace lcp::sz {

@@ -17,7 +17,6 @@
 #include "compress/common/codec.hpp"
 #include "compress/common/registry.hpp"
 #include "compress/lossless/shuffle_codec.hpp"
-#include "compress/simd/dispatch.hpp"
 #include "compress/sz/huffman.hpp"
 #include "compress/sz/pipeline.hpp"
 #include "compress/sz/quantizer.hpp"
@@ -25,6 +24,7 @@
 #include "compress/sz/zlite.hpp"
 #include "data/field.hpp"
 #include "support/bitstream.hpp"
+#include "support/dispatch.hpp"
 #include "support/rng.hpp"
 
 namespace {

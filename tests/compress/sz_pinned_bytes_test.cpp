@@ -12,13 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include "compress/simd/dispatch.hpp"
 #include "compress/sz/huffman.hpp"
 #include "compress/sz/pipeline.hpp"
 #include "compress/sz/quantizer.hpp"
 #include "compress/sz/sz_compressor.hpp"
 #include "data/generators.hpp"
 #include "support/checksum.hpp"
+#include "support/dispatch.hpp"
 
 namespace lcp::sz {
 namespace {

@@ -13,10 +13,10 @@
 
 #include <gtest/gtest.h>
 
-#include "compress/simd/dispatch.hpp"
 #include "compress/zfp/zfp_compressor.hpp"
 #include "data/generators.hpp"
 #include "support/checksum.hpp"
+#include "support/dispatch.hpp"
 
 namespace lcp::zfp {
 namespace {

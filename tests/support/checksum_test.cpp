@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
+
+#include "support/dispatch.hpp"
+#include "support/rng.hpp"
 
 namespace lcp {
 namespace {
+
+using simd::ScopedSimdLevel;
+using simd::SimdLevel;
 
 std::vector<std::uint8_t> bytes_of(const char* s) {
   std::vector<std::uint8_t> out(std::strlen(s));
@@ -85,6 +93,194 @@ TEST(Fnv1a64Test, SensitiveToOrderAndContent) {
   b[4] ^= 0x01;
   EXPECT_NE(fnv1a64(a), fnv1a64(b));
 }
+
+// --- Dispatch identity ------------------------------------------------------
+//
+// Every case below runs once per dispatch level. At kAvx2 (on hosts and
+// builds that reach it) CRC32C runs on the SSE4.2 instruction and
+// fnv1a64_many on 8 AVX2 lanes; the values must equal the bit-at-a-time
+// CRC32C below and the serial fnv1a64. At kScalar the same cases pin the
+// portable twins, so the forced-scalar leg covers them too.
+
+/// Bit-at-a-time CRC32C: the definition, independent of both kernels.
+std::uint32_t crc32c_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  return out;
+}
+
+class ChecksumDispatchTest : public ::testing::TestWithParam<SimdLevel> {
+ protected:
+  ScopedSimdLevel guard_{GetParam()};
+};
+
+using Crc32cDispatchTest = ChecksumDispatchTest;
+using Fnv1a64ManyTest = ChecksumDispatchTest;
+
+std::uint32_t portable_crc32c(std::span<const std::uint8_t> data) {
+  const ScopedSimdLevel scalar{SimdLevel::kScalar};
+  return crc32c(data);
+}
+
+TEST_P(Crc32cDispatchTest, MatchesPortableAtEveryLength) {
+  const auto data = seeded_bytes((std::size_t{64} << 10) + 7, 41);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const std::span<const std::uint8_t> head{data.data(), n};
+    const std::uint32_t want = crc32c_bitwise(head);
+    ASSERT_EQ(crc32c(head), want) << "length " << n;
+    ASSERT_EQ(portable_crc32c(head), want) << "length " << n;
+  }
+  const std::uint32_t want = crc32c_bitwise(data);
+  EXPECT_EQ(crc32c(data), want);
+  EXPECT_EQ(portable_crc32c(data), want);
+}
+
+TEST_P(Crc32cDispatchTest, MatchesAtEveryStartOffset) {
+  const auto data = seeded_bytes(1100, 42);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{8}, std::size_t{9}, std::size_t{63},
+                          std::size_t{1024} + 5}) {
+      const std::span<const std::uint8_t> view{data.data() + offset, n};
+      EXPECT_EQ(crc32c(view), crc32c_bitwise(view))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST_P(Crc32cDispatchTest, ChainedUpdatesMatchOneShot) {
+  const auto data = seeded_bytes(5000, 43);
+  const std::uint32_t whole = crc32c_bitwise(data);
+  Rng rng{44};
+  for (int trial = 0; trial < 50; ++trial) {
+    std::uint32_t state = kCrc32cInit;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const std::size_t take = std::min<std::size_t>(
+          data.size() - at, rng.uniform_index(trial % 2 == 0 ? 17 : 700));
+      state = crc32c_update(state, std::span{data.data() + at, take});
+      at += take;
+    }
+    EXPECT_EQ(crc32c_finish(state), whole) << "trial " << trial;
+  }
+}
+
+/// fnv1a64_many over `inputs` against the serial fnv1a64 of each.
+void expect_many_matches_serial(
+    const std::vector<std::vector<std::uint8_t>>& inputs) {
+  std::vector<std::span<const std::uint8_t>> views(inputs.begin(),
+                                                   inputs.end());
+  std::vector<std::uint64_t> got(inputs.size(), 0);
+  fnv1a64_many(views, got);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(got[i], fnv1a64(inputs[i]))
+        << "input " << i << " of " << inputs.size() << ", length "
+        << inputs[i].size();
+  }
+}
+
+TEST_P(Fnv1a64ManyTest, EqualLengthsForEveryCount) {
+  for (std::size_t count = 0; count <= 17; ++count) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    std::vector<std::vector<std::uint8_t>> inputs;
+    for (std::size_t i = 0; i < count; ++i) {
+      inputs.push_back(seeded_bytes(203, 100 + i));
+    }
+    expect_many_matches_serial(inputs);
+  }
+}
+
+TEST_P(Fnv1a64ManyTest, RaggedLastInput) {
+  for (std::size_t count : {std::size_t{8}, std::size_t{9}, std::size_t{16}}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    std::vector<std::vector<std::uint8_t>> inputs;
+    for (std::size_t i = 0; i < count; ++i) {
+      inputs.push_back(seeded_bytes(i + 1 == count ? 77 : 512, 200 + i));
+    }
+    expect_many_matches_serial(inputs);
+  }
+}
+
+TEST_P(Fnv1a64ManyTest, StaggeredLengthsInOneGroup) {
+  // Lanes run out one by one: used-up lanes ride on a live lane's bytes
+  // until fewer than half are live, then the rest finish serially.
+  for (const auto& lengths : {std::vector<std::size_t>{0, 5, 100, 200, 300,
+                                                       400, 500, 600},
+                              std::vector<std::size_t>{900, 7, 900, 64, 900,
+                                                       900, 1, 900},
+                              std::vector<std::size_t>{3, 3, 3, 4096, 3, 3,
+                                                       4096, 3}}) {
+    std::vector<std::vector<std::uint8_t>> inputs;
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+      inputs.push_back(seeded_bytes(lengths[i], 500 + i));
+    }
+    expect_many_matches_serial(inputs);
+  }
+}
+
+TEST_P(Fnv1a64ManyTest, MixedLengthsEmptyAndShortInputs) {
+  Rng rng{45};
+  std::vector<std::vector<std::uint8_t>> inputs;
+  for (std::size_t i = 0; i < 41; ++i) {
+    std::size_t n = rng.uniform_index(300);
+    if (i % 5 == 0) {
+      n = 0;  // empty span
+    } else if (i % 3 == 0) {
+      n = rng.uniform_index(8);  // shorter than one 8-byte word
+    }
+    inputs.push_back(seeded_bytes(n, 300 + i));
+  }
+  expect_many_matches_serial(inputs);
+
+  // All-short and all-empty groups of 8.
+  std::vector<std::vector<std::uint8_t>> short_inputs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    short_inputs.push_back(seeded_bytes(i % 8, 400 + i));
+  }
+  expect_many_matches_serial(short_inputs);
+  expect_many_matches_serial(std::vector<std::vector<std::uint8_t>>(8));
+}
+
+TEST_P(Fnv1a64ManyTest, UnalignedViewsOfOneBuffer) {
+  // Slab views into one field start at arbitrary byte offsets.
+  const auto buffer = seeded_bytes(4096, 46);
+  std::vector<std::span<const std::uint8_t>> views;
+  for (std::size_t i = 0; i < 12; ++i) {
+    views.emplace_back(buffer.data() + i * 301 + i % 8, 290);
+  }
+  std::vector<std::uint64_t> got(views.size());
+  fnv1a64_many(views, got);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(got[i], fnv1a64(views[i])) << "view " << i;
+  }
+}
+
+std::string level_name(const ::testing::TestParamInfo<SimdLevel>& info) {
+  return simd::simd_level_name(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, Crc32cDispatchTest,
+                         ::testing::Values(SimdLevel::kScalar,
+                                           SimdLevel::kAvx2),
+                         level_name);
+INSTANTIATE_TEST_SUITE_P(Levels, Fnv1a64ManyTest,
+                         ::testing::Values(SimdLevel::kScalar,
+                                           SimdLevel::kAvx2),
+                         level_name);
 
 }  // namespace
 }  // namespace lcp
