@@ -277,11 +277,12 @@ void IncrementalCheckpointStore::prune_superseded_journals(
 
 Status IncrementalCheckpointStore::put_file(
     const std::string& path, std::span<const std::uint8_t> data) {
-  // NfsClient::write_file appends on the fault-free path, so a stale file
-  // under the same name must be dropped first; remove_file skips missing
-  // and down-replica copies. Safe for slab objects only: they are
-  // content-addressed, so any stale same-name copy holds the exact bytes
-  // this write carries and committed state cannot be lost.
+  // NfsClient::write_file overwrites in place without truncating, so a
+  // stale file under the same name (a damaged copy may be longer) must be
+  // dropped first; remove_file skips missing and down-replica copies. Safe
+  // for slab objects only: they are content-addressed, so any stale
+  // same-name copy stands for the exact bytes this write carries and
+  // committed state cannot be lost.
   auto removed = replicas_.remove_file(path);
   if (!removed.has_value()) {
     return removed.status().with_context("replacing '" + path + "'");

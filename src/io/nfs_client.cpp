@@ -11,47 +11,45 @@ namespace lcp::io {
 
 Status NfsClient::write_file(const std::string& path,
                              std::span<const std::uint8_t> data) {
+  return write_chunks(path, 0, data);
+}
+
+Status NfsClient::write_chunks(const std::string& path, std::uint64_t offset,
+                               std::span<const std::uint8_t> data) {
   if (config_.rpc_chunk_bytes == 0) {
     return Status::invalid_argument("nfs client: zero chunk size");
   }
-
-  if (fault_ == nullptr) {
-    // Fault-free fast path: byte-for-byte the pre-retry behavior (append
-    // writes, one attempt each, no checksum or trace overhead).
-    std::size_t offset = 0;
-    while (offset < data.size()) {
-      const std::size_t n =
-          std::min(config_.rpc_chunk_bytes, data.size() - offset);
-      LCP_RETURN_IF_ERROR(server_.handle_write(path, data.subspan(offset, n)));
-      sent_ += n;
-      ++rpcs_;
-      offset += n;
-    }
-    if (data.empty()) {
-      // Creating an empty file is still one RPC.
-      LCP_RETURN_IF_ERROR(server_.handle_write(path, data));
-      ++rpcs_;
-    }
-    return Status::ok();
-  }
-
-  // Faulted path: offset-addressed chunks so retries are idempotent.
   const std::size_t chunk = config_.rpc_chunk_bytes;
-  const std::uint64_t chunk_count =
-      data.empty() ? 1
-                   : (data.size() + chunk - 1) / chunk;
-  for (std::uint64_t i = 0; i < chunk_count; ++i) {
-    const std::size_t offset = static_cast<std::size_t>(i) * chunk;
-    const std::size_t n = std::min(chunk, data.size() - offset);
-    const Status st =
-        write_chunk_with_retries(path, offset, data.subspan(offset, n));
-    if (!st.is_ok()) {
-      // Keep the chunk-index stream a pure function of the sizes written:
-      // a failed file still consumes the indices of its remaining chunks,
-      // so fault windows planned for later files stay aligned.
-      next_chunk_ += chunk_count - i - 1;
-      return st;
+  // An empty write still creates the file with one RPC.
+  const std::size_t rpc_count =
+      data.empty() ? 1 : (data.size() + chunk - 1) / chunk;
+  for (std::size_t i = 0; i < rpc_count; ++i) {
+    const std::size_t done = i * chunk;
+    const auto piece = data.subspan(done, std::min(chunk, data.size() - done));
+    const std::uint64_t at = offset + done;
+    if (fault_ != nullptr) {
+      const Status st = write_chunk_with_retries(path, at, piece);
+      if (!st.is_ok()) {
+        // Keep the chunk-index stream a pure function of the sizes written:
+        // a failed write still consumes the indices of its remaining
+        // chunks, so fault windows planned for later writes stay aligned.
+        next_chunk_ += rpc_count - i - 1;
+        return st;
+      }
+      continue;
     }
+    auto reply = server_.handle_write_at(path, at, piece);
+    if (!reply.has_value()) {
+      return reply.status();
+    }
+    // The server's write verifier gives every write end-to-end CRC
+    // coverage, injector or not: a storage-side bit flip surfaces here.
+    if (*reply != crc32c(piece)) {
+      return Status::corrupt_data("nfs client: write verifier mismatch on '" +
+                                  path + "'");
+    }
+    sent_ += piece.size();
+    ++rpcs_;
   }
   return Status::ok();
 }
@@ -88,50 +86,12 @@ Status NfsClient::FileStream::write_at(std::uint64_t offset,
 
 Status NfsClient::FileStream::write_at_locked(
     std::uint64_t offset, std::span<const std::uint8_t> data) {
-  NfsClient& c = *client_;
-  if (c.config_.rpc_chunk_bytes == 0) {
-    return Status::invalid_argument("nfs client: zero chunk size");
+  const Status st = client_->write_chunks(path_, offset, data);
+  if (st.is_ok()) {
+    written_ += data.size();
+    high_water_ = std::max<std::uint64_t>(high_water_, offset + data.size());
   }
-  const std::size_t chunk = c.config_.rpc_chunk_bytes;
-  std::size_t done = 0;
-  // An empty write still creates the file with one RPC, mirroring
-  // write_file's empty-file behavior.
-  const std::size_t rpc_count =
-      data.empty() ? 1 : (data.size() + chunk - 1) / chunk;
-  for (std::size_t i = 0; i < rpc_count; ++i) {
-    const std::size_t n = std::min(chunk, data.size() - done);
-    const auto piece = data.subspan(done, n);
-    const std::uint64_t at = offset + done;
-    if (c.fault_ == nullptr) {
-      auto reply = c.server_.handle_write_at(path_, at, piece);
-      if (!reply.has_value()) {
-        return reply.status();
-      }
-      // The offset path always returns the server's write verifier, so
-      // the streaming dump gets end-to-end CRC coverage even without an
-      // injector attached (a storage-side bit flip surfaces here, not as
-      // a silent mismatch at finish()).
-      if (*reply != crc32c(piece)) {
-        return Status::corrupt_data(
-            "nfs client: write verifier mismatch on stream '" + path_ + "'");
-      }
-      c.sent_ += n;
-      ++c.rpcs_;
-    } else {
-      const Status st = c.write_chunk_with_retries(path_, at, piece);
-      if (!st.is_ok()) {
-        // Mirror write_file's bookkeeping: a failed stream write still
-        // consumes the chunk indices of its remaining pieces, keeping the
-        // fault-window stream a pure function of the sizes written.
-        c.next_chunk_ += rpc_count - i - 1;
-        return st;
-      }
-    }
-    done += n;
-    written_ += n;
-    high_water_ = std::max(high_water_, at + n);
-  }
-  return Status::ok();
+  return st;
 }
 
 Status NfsClient::FileStream::finish() {

@@ -3,12 +3,12 @@
 // integrity is testable end-to-end) and reports the modeled wall time of
 // the transfer at a given CPU frequency via the transit model.
 //
-// With a FaultInjector attached the client becomes the system under test
-// of the fault-injection suite: each chunk is written at an explicit
-// offset (idempotent, NFSv3-style), verified against the server's CRC32C
-// write verifier, and retried under a per-RPC timeout with capped
-// exponential backoff and deterministic seeded jitter. Without an
-// injector the original single-attempt append path runs unchanged.
+// Every chunk is written at an explicit offset (idempotent, NFSv3-style)
+// and verified against the server's CRC32C write verifier. With a
+// FaultInjector attached the client becomes the system under test of the
+// fault-injection suite: each chunk is retried under a per-RPC timeout with
+// capped exponential backoff and deterministic seeded jitter. Without an
+// injector each chunk gets one attempt.
 
 #include <cstdint>
 #include <string>
@@ -80,15 +80,17 @@ class NfsClient {
       : server_(server), config_(config) {}
 
   /// Attaches (or detaches, with nullptr) the fault injector. The injector
-  /// must outlive the client. While attached, writes go through the
-  /// offset-based retry path and every attempt is recorded in trace().
+  /// must outlive the client. While attached, writes go through the retry
+  /// loop and every attempt is recorded in trace().
   void attach_fault_injector(const FaultInjector* injector) noexcept {
     fault_ = injector;
   }
 
-  /// Writes `data` to `path` on the server in rpc_chunk_bytes chunks.
-  /// Under fault injection, returns a typed error after retry exhaustion
-  /// (the code of the last failure) instead of silently truncating.
+  /// Writes `data` to `path` from offset 0 in rpc_chunk_bytes chunks. An
+  /// existing file is overwritten in place, not truncated: a caller that
+  /// replaces a longer file removes it first. Under fault injection,
+  /// returns a typed error after retry exhaustion (the code of the last
+  /// failure) instead of silently truncating.
   [[nodiscard]] Status write_file(const std::string& path,
                                   std::span<const std::uint8_t> data);
 
@@ -106,8 +108,8 @@ class NfsClient {
   /// the wire with append() while later slabs are still compressing, and
   /// the frame header — only known once the last slab is sealed — is
   /// back-patched at offset 0 with write_at(). All byte/RPC accounting
-  /// lands on the owning client; under fault injection every RPC takes
-  /// the same retry/backoff path as write_file.
+  /// lands on the owning client, and every RPC goes through the same
+  /// verified chunk loop as write_file.
   ///
   /// The stream's cursor state (offset, high-water mark, byte count) is
   /// guarded by its own mutex so a future sharded writer can share one
@@ -140,7 +142,7 @@ class NfsClient {
     FileStream(NfsClient& client, std::string path)
         : client_(&client), path_(std::move(path)) {}
 
-    /// Chunk-and-send body shared by append/write_at; callers hold mu_.
+    /// Body shared by append/write_at; callers hold mu_.
     Status write_at_locked(std::uint64_t offset,
                            std::span<const std::uint8_t> data)
         LCP_REQUIRES(mu_);
@@ -191,6 +193,12 @@ class NfsClient {
   }
 
  private:
+  /// The one chunk loop behind write_file and FileStream: `data` goes to
+  /// `path` from `offset` in rpc_chunk_bytes offset RPCs (one RPC for an
+  /// empty write), each checked against the server's write verifier and
+  /// retried only when an injector is attached.
+  Status write_chunks(const std::string& path, std::uint64_t offset,
+                      std::span<const std::uint8_t> data);
   Status write_chunk_with_retries(const std::string& path,
                                   std::uint64_t offset,
                                   std::span<const std::uint8_t> chunk);

@@ -6,19 +6,6 @@
 
 namespace lcp::io {
 
-Status NfsServer::handle_write(const std::string& path,
-                               std::span<const std::uint8_t> chunk) {
-  if (path.empty()) {
-    return Status::invalid_argument("nfs: empty path");
-  }
-  const MutexLock lock{mu_};
-  auto& file = files_[path];
-  file.insert(file.end(), chunk.begin(), chunk.end());
-  bytes_stored_ += chunk.size();
-  ++rpcs_;
-  return Status::ok();
-}
-
 Expected<std::uint32_t> NfsServer::handle_write_at(
     const std::string& path, std::uint64_t offset,
     std::span<const std::uint8_t> chunk) {

@@ -1,8 +1,8 @@
 #pragma once
-// In-memory NFS server: receives RPC write chunks, appends them to named
-// files, and models a bounded-throughput storage backend. Functional (the
-// bytes really move) so conservation and content integrity are testable;
-// timing is modeled, not measured.
+// In-memory NFS server: receives offset-addressed RPC write chunks into
+// named files, and models a bounded-throughput storage backend. Functional
+// (the bytes really move) so conservation and content integrity are
+// testable; timing is modeled, not measured.
 //
 // The file table and its byte/RPC accounting are guarded by one mutex
 // (annotated for -Wthread-safety), so concurrent restore sessions reading
@@ -35,10 +35,6 @@ struct DiskSpec {
 class NfsServer {
  public:
   explicit NfsServer(DiskSpec disk = {}) : disk_(disk) {}
-
-  /// Appends a chunk to `path`, creating the file on first write.
-  Status handle_write(const std::string& path,
-                      std::span<const std::uint8_t> chunk);
 
   /// Writes a chunk at an explicit offset (NFSv3 WRITE semantics: offsets
   /// make retransmission idempotent — a duplicate or late retry overwrites

@@ -15,7 +15,7 @@
 // vocabulary (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html); the
 // wrapper classes mirror the std types they replace:
 //
-//   Mutex        — std::mutex        + CAPABILITY, lock/unlock/try_lock
+//   Mutex        — std::mutex        + CAPABILITY, locked via MutexLock
 //   SharedMutex  — std::shared_mutex + CAPABILITY, *_shared variants
 //   CondVar      — std::condition_variable bound to MutexLock
 //   MutexLock    — scoped exclusive lock on a Mutex       (SCOPED_CAPABILITY)
@@ -66,9 +66,6 @@
   LCP_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 #define LCP_RELEASE_SHARED(...) \
   LCP_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-/// Function acquires the capability iff it returns the given value.
-#define LCP_TRY_ACQUIRE(...) \
-  LCP_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 /// Function must NOT be called with the capability held (deadlock guard
 /// for public entry points of self-locking types).
 #define LCP_EXCLUDES(...) LCP_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
@@ -83,20 +80,12 @@ namespace lcp {
 
 class CondVar;
 
-/// std::mutex with the capability attribute. Prefer MutexLock; the manual
-/// lock/unlock/try_lock surface exists for the patterns RAII cannot
-/// express (e.g. work-stealing's try-lock-and-bail).
+/// std::mutex with the capability attribute, locked through MutexLock.
 class LCP_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
-
-  void lock() LCP_ACQUIRE() { mu_.lock(); }
-  void unlock() LCP_RELEASE() { mu_.unlock(); }
-  [[nodiscard]] bool try_lock() LCP_TRY_ACQUIRE(true) {
-    return mu_.try_lock();
-  }
 
  private:
   friend class MutexLock;
@@ -187,12 +176,6 @@ class CondVar {
   /// returning — the capability is held across the call as far as the
   /// analysis (correctly) observes.
   void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& dur) {
-    return cv_.wait_for(lock.lock_, dur);
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -1,23 +1,15 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <exception>
-
-#include "support/status.hpp"
+#include <utility>
 
 namespace lcp {
 namespace {
 
-/// Identity of the worker thread currently executing pool code, so that
-/// tasks spawned from inside the pool land on the spawner's own deque
-/// (LIFO, cache-hot) instead of the shared injector.
-struct WorkerIdentity {
-  const void* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
+/// The pool whose job the current thread is running, if any: a worker's own
+/// pool, or the pool a caller is inside parallel_for of. A parallel_for on
+/// that pool from this thread is nested and runs inline.
+thread_local const ThreadPool* tls_pool = nullptr;
 
 }  // namespace
 
@@ -25,152 +17,69 @@ ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_release);
   {
-    const MutexLock lock{sleep_mutex_};
+    const MutexLock lock{mutex_};
+    stopping_ = true;
   }
-  cv_.notify_all();
+  wake_cv_.notify_all();
   for (auto& thread : threads_) {
     thread.join();
   }
 }
 
-void ThreadPool::push_task(detail::Task task) {
-  if (tls_worker.pool == this) {
-    Worker& own = *workers_[tls_worker.index];
-    const MutexLock lock{own.mutex};
-    own.deque.push_back(std::move(task));
-  } else {
-    const MutexLock lock{inject_mutex_};
-    inject_.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    // Pairs with the waiters' predicate check: a waiter is either about to
-    // re-test `pending_` or already blocked and gets the notify.
-    const MutexLock lock{sleep_mutex_};
-  }
-  cv_.notify_one();
-}
-
-detail::Task ThreadPool::pop_injected() {
-  const MutexLock lock{inject_mutex_};
-  if (inject_.empty()) {
-    return {};
-  }
-  detail::Task task = std::move(inject_.front());
-  inject_.pop_front();
-  return task;
-}
-
-detail::Task ThreadPool::steal_from(Worker& victim) {
-  // try-lock-and-bail: a contended victim is skipped, not waited on. The
-  // manual unlock on both paths is what the TRY_ACQUIRE annotation checks.
-  if (!victim.mutex.try_lock()) {
-    return {};
-  }
-  detail::Task task;
-  if (!victim.deque.empty()) {
-    task = std::move(victim.deque.front());
-    victim.deque.pop_front();
-  }
-  victim.mutex.unlock();
-  return task;
-}
-
-detail::Task ThreadPool::try_acquire(std::size_t self) {
-  {
-    // Own deque first, newest first (LIFO keeps the working set hot).
-    Worker& own = *workers_[self];
-    const MutexLock lock{own.mutex};
-    if (!own.deque.empty()) {
-      detail::Task task = std::move(own.deque.back());
-      own.deque.pop_back();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return task;
-    }
-  }
-  if (detail::Task task = pop_injected()) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    return task;
-  }
-  const std::size_t n = workers_.size();
-  for (std::size_t hop = 1; hop < n; ++hop) {
-    if (detail::Task task = steal_from(*workers_[(self + hop) % n])) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return task;
-    }
-  }
-  return {};
-}
-
-detail::Task ThreadPool::try_acquire_any() {
-  if (detail::Task task = pop_injected()) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    return task;
-  }
-  for (auto& worker : workers_) {
-    if (detail::Task task = steal_from(*worker)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return task;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker = {this, self};
-  unsigned failed_acquires = 0;
+void ThreadPool::worker_loop() {
+  tls_pool = this;
+  std::uint64_t seen = 0;
   for (;;) {
-    if (detail::Task task = try_acquire(self)) {
-      failed_acquires = 0;
-      task();
-      continue;
-    }
-    if (pending_.load(std::memory_order_acquire) > 0) {
-      // Queued work exists but was not acquirable — a victim's deque lock
-      // was contended, or another thread took the task between the count
-      // check and the scan. The sleep predicate below would pass
-      // immediately, so back off briefly instead of hammering the deques.
-      if (++failed_acquires < 16) {
-        std::this_thread::yield();
-      } else {
-        MutexLock lock{sleep_mutex_};
-        (void)cv_.wait_for(lock, std::chrono::microseconds(100));
+    Job job;
+    {
+      MutexLock lock{mutex_};
+      while (!stopping_ && (!open_ || generation_ == seen)) {
+        wake_cv_.wait(lock);
       }
-      continue;
+      if (stopping_) {
+        return;
+      }
+      seen = generation_;
+      job = job_;
+      ++active_;
     }
-    failed_acquires = 0;
-    MutexLock lock{sleep_mutex_};
-    while (!stopping_.load(std::memory_order_acquire) &&
-           pending_.load(std::memory_order_acquire) == 0) {
-      cv_.wait(lock);
-    }
-    if (stopping_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;  // stopping and drained
+    run_chunks(job);
+    const MutexLock lock{mutex_};
+    if (--active_ == 0) {
+      done_cv_.notify_one();
     }
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  LCP_REQUIRE(!stopping_.load(std::memory_order_acquire),
-              "submit on a stopping pool");
-  std::packaged_task<void()> packaged{std::move(task)};
-  auto future = packaged.get_future();
-  push_task(detail::Task{std::move(packaged)});
-  return future;
+void ThreadPool::run_chunks(const Job& job) {
+  for (;;) {
+    const std::size_t lo =
+        next_.fetch_add(job.grain, std::memory_order_relaxed);
+    if (lo >= job.end) {
+      return;
+    }
+    const std::size_t hi = std::min(job.end, lo + job.grain);
+    try {
+      for (std::size_t i = lo; i < hi; ++i) {
+        (*job.body)(i);
+      }
+    } catch (...) {
+      next_.store(job.end, std::memory_order_relaxed);  // abort the walk
+      const MutexLock lock{mutex_};
+      if (!error_) {
+        error_ = std::current_exception();
+      }
+      return;
+    }
+  }
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
@@ -181,93 +90,44 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   const std::size_t n = end - begin;
   if (grain == 0) {
-    // A few chunks per thread balances stealing against dispatch overhead.
-    const std::size_t threads = worker_count() + 1;
-    grain = std::max<std::size_t>(1, n / (4 * threads));
+    // A few chunks per thread balances load against claim overhead.
+    grain = std::max<std::size_t>(1, n / (4 * (worker_count() + 1)));
   }
-  const std::size_t chunks = (n + grain - 1) / grain;
-
-  // Shared-ownership completion state: each helper task holds a reference,
-  // so the mutex/condition_variable stay alive while the last helper is
-  // inside its post-decrement notify even if the caller has already observed
-  // active == 0 and returned from parallel_for.
-  struct SharedState {
-    std::atomic<std::size_t> next;
-    std::atomic<std::size_t> active{0};
-    std::size_t end = 0;
-    std::size_t grain = 0;
-    const std::function<void(std::size_t)>* body = nullptr;
-    Mutex error_mutex;
-    std::exception_ptr first_error LCP_GUARDED_BY(error_mutex);
-    Mutex done_mutex;  // rendezvous only: `active` is the atomic predicate
-    CondVar done_cv;
-  };
-  auto state = std::make_shared<SharedState>();
-  state->next.store(begin, std::memory_order_relaxed);
-  state->end = end;
-  state->grain = grain;
-  state->body = &body;  // outlives every chunk: the caller blocks on active
-
-  auto run_chunks = [](SharedState& s) {
-    for (;;) {
-      const std::size_t lo =
-          s.next.fetch_add(s.grain, std::memory_order_relaxed);
-      if (lo >= s.end) {
-        return;
-      }
-      const std::size_t hi = std::min(s.end, lo + s.grain);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) {
-          (*s.body)(i);
-        }
-      } catch (...) {
-        {
-          const MutexLock lock{s.error_mutex};
-          if (!s.first_error) {
-            s.first_error = std::current_exception();
-          }
-        }
-        s.next.store(s.end, std::memory_order_relaxed);  // abort early
-        return;
-      }
+  if (n <= grain || tls_pool == this) {
+    // One chunk, or a nested call from a body on this pool: run inline.
+    for (std::size_t i = begin; i < end; ++i) {
+      body(i);
     }
-  };
-
-  const std::size_t helpers =
-      std::min(worker_count(), chunks > 0 ? chunks - 1 : 0);
-  state->active.store(helpers, std::memory_order_relaxed);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    push_task(detail::Task{[state, run_chunks] {
-      run_chunks(*state);
-      if (state->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const MutexLock lock{state->done_mutex};
-        state->done_cv.notify_all();
-      }
-    }});
+    return;
   }
 
-  run_chunks(*state);  // calling thread participates
-
-  // Wait for helpers; while they lag, help with whatever is queued (possibly
-  // other callers' chunks) so nested parallel_for cannot deadlock the pool.
-  while (state->active.load(std::memory_order_acquire) != 0) {
-    if (detail::Task task = try_acquire_any()) {
-      task();
-      continue;
-    }
-    MutexLock lock{state->done_mutex};
-    if (state->active.load(std::memory_order_acquire) != 0) {
-      (void)state->done_cv.wait_for(lock, std::chrono::milliseconds(1));
-    }
-  }
-
-  std::exception_ptr first_error;
+  const MutexLock call{call_mutex_};
+  const Job job{end, grain, &body};
   {
-    const MutexLock lock{state->error_mutex};
-    first_error = state->first_error;
+    const MutexLock lock{mutex_};
+    job_ = job;
+    next_.store(begin, std::memory_order_relaxed);
+    open_ = true;
+    ++generation_;
   }
-  if (first_error) {
-    std::rethrow_exception(first_error);
+  wake_cv_.notify_all();
+
+  const ThreadPool* const outer = tls_pool;
+  tls_pool = this;
+  run_chunks(job);
+  tls_pool = outer;
+
+  std::exception_ptr error;
+  {
+    MutexLock lock{mutex_};
+    open_ = false;  // the cursor is spent: a worker joining now has no work
+    while (active_ != 0) {
+      done_cv_.wait(lock);
+    }
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 

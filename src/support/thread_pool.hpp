@@ -1,121 +1,32 @@
 #pragma once
-// Work-stealing thread pool used by the parallel compression layer and the
-// sweep harness.
+// Fork-join thread pool behind every parallel_for in the tree (the pooled
+// slab encode walk and the parallel frequency sweep).
 //
-// Each worker owns a deque: the owner pushes and pops at the back (LIFO,
-// cache-hot), thieves take from the front (FIFO, oldest first — the classic
-// work-stealing discipline). External submitters go through a shared
-// injector queue that idle workers drain before stealing from peers. Tasks
-// are stored in a small-buffer type-erased container, so the common case
-// (a lambda capturing a few pointers) never touches the heap.
+// `ThreadPool{w}` owns w worker threads that sleep on a condition variable
+// between jobs. parallel_for publishes one job — a shared atomic cursor over
+// the index range, the grain and the body — wakes the team, and the workers
+// and the calling thread claim grain-sized chunks from the cursor until the
+// range is exhausted, so a job computes on w + 1 threads. Once the caller
+// runs out of chunks it closes the job and waits for every worker that
+// joined it to check out, so nothing of the job outlives the call. A worker
+// that wakes after the close skips the job: the caller never waits on the
+// wakeup of a thread that has no work left to claim.
 //
-// parallel_for partitions an index range into grain-sized chunks claimed
-// from a shared atomic cursor; the calling thread participates and, while
-// waiting for stragglers, helps by executing unrelated pool tasks, so
-// nested parallelism cannot deadlock the pool.
+// Calls from different threads take turns. A call made from inside a body
+// running on the same pool (nested use) runs inline on the calling thread,
+// so nested parallel_for cannot deadlock the pool.
 
+#include <atomic>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
-#include <new>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "support/thread_annotations.hpp"
 
 namespace lcp {
-
-namespace detail {
-
-/// Move-only type-erased nullary callable with inline (small-buffer)
-/// storage. Callables up to kInlineSize bytes that are nothrow-movable are
-/// stored in place; larger ones fall back to the heap.
-class Task {
- public:
-  static constexpr std::size_t kInlineSize = 48;
-
-  Task() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Task> &&
-                std::is_invocable_v<std::decay_t<F>&>>>
-  Task(F&& f) {  // NOLINT(google-explicit-constructor): function-like wrapper
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-      relocate_ = [](void* dst, void* src) noexcept {
-        ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-        static_cast<Fn*>(src)->~Fn();
-      };
-      destroy_ = [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); };
-    } else {
-      heap_ = new Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-      destroy_ = [](void* p) noexcept { delete static_cast<Fn*>(p); };
-    }
-  }
-
-  Task(Task&& other) noexcept { move_from(other); }
-
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-
-  ~Task() { reset(); }
-
-  void operator()() { invoke_(target()); }
-
-  explicit operator bool() const noexcept { return invoke_ != nullptr; }
-
- private:
-  void* target() noexcept { return relocate_ != nullptr ? storage_ : heap_; }
-
-  void reset() noexcept {
-    if (invoke_ != nullptr) {
-      destroy_(target());
-      invoke_ = nullptr;
-      relocate_ = nullptr;
-    }
-  }
-
-  void move_from(Task& other) noexcept {
-    invoke_ = other.invoke_;
-    relocate_ = other.relocate_;
-    destroy_ = other.destroy_;
-    if (invoke_ != nullptr) {
-      if (relocate_ != nullptr) {
-        relocate_(storage_, other.storage_);
-      } else {
-        heap_ = other.heap_;
-      }
-      other.invoke_ = nullptr;
-      other.relocate_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
-  void* heap_ = nullptr;
-  void (*invoke_)(void*) = nullptr;
-  void (*relocate_)(void*, void*) noexcept = nullptr;  // inline storage only
-  void (*destroy_)(void*) noexcept = nullptr;
-};
-
-}  // namespace detail
 
 class ThreadPool {
  public:
@@ -130,45 +41,40 @@ class ThreadPool {
     return threads_.size();
   }
 
-  /// Enqueues a task; the future resolves when it finishes.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Runs body(i) for i in [begin, end) across the pool, blocking until all
-  /// iterations finish. The caller's thread also executes chunks, so the
-  /// pool works even with zero queued workers. Exceptions propagate (first
-  /// one wins). `grain` is the number of consecutive indices claimed per
-  /// dispatch; 0 picks one aiming at a few chunks per thread.
+  /// Runs body(i) for i in [begin, end) on the workers and the calling
+  /// thread, blocking until all iterations finish. The first exception a
+  /// body throws stops the walk early and is rethrown here; the pool stays
+  /// usable. `grain` is the number of consecutive indices claimed per
+  /// chunk; 0 picks n / (4 * (worker_count() + 1)), at least 1.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 0);
 
  private:
-  struct Worker {
-    Mutex mutex;
-    std::deque<detail::Task> deque
-        LCP_GUARDED_BY(mutex);  // owner: back; thieves: front
+  /// The published part of a job; workers copy it under mutex_.
+  struct Job {
+    std::size_t end = 0;
+    std::size_t grain = 1;
+    const std::function<void(std::size_t)>* body = nullptr;
   };
 
-  void worker_loop(std::size_t self);
-  void push_task(detail::Task task);
-  [[nodiscard]] detail::Task try_acquire(std::size_t self);
-  [[nodiscard]] detail::Task try_acquire_any();
-  [[nodiscard]] detail::Task pop_injected();
-  [[nodiscard]] detail::Task steal_from(Worker& victim);
+  void worker_loop();
+  /// Claims and runs chunks of `job` until the cursor passes its end.
+  void run_chunks(const Job& job);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  std::deque<detail::Task> inject_ LCP_GUARDED_BY(inject_mutex_);
-  Mutex inject_mutex_;
-
-  // Pure rendezvous for cv_: the sleep predicate reads only the atomics
-  // below, so the mutex guards no data — it exists to make wakeups and
-  // predicate re-checks atomic with respect to each other.
-  Mutex sleep_mutex_;
-  CondVar cv_;
-  std::atomic<std::size_t> pending_{0};  // queued, not-yet-acquired tasks
-  std::atomic<bool> stopping_{false};
+  Mutex call_mutex_;  // one job at a time: callers from other threads queue
+  Mutex mutex_;
+  CondVar wake_cv_;  // workers: a new open job or stopping_
+  CondVar done_cv_;  // caller: active_ reached zero
+  Job job_ LCP_GUARDED_BY(mutex_);
+  std::uint64_t generation_ LCP_GUARDED_BY(mutex_) = 0;  // jobs published
+  bool open_ LCP_GUARDED_BY(mutex_) = false;     // workers may still join
+  std::size_t active_ LCP_GUARDED_BY(mutex_) = 0;  // joined, not checked out
+  bool stopping_ LCP_GUARDED_BY(mutex_) = false;
+  std::exception_ptr error_ LCP_GUARDED_BY(mutex_);  // first one wins
+  std::atomic<std::size_t> next_{0};  // the job's chunk cursor
 };
 
 }  // namespace lcp

@@ -255,7 +255,8 @@ struct JournalFuzzRig {
       (void)server(r).remove_file(path);
     }
     if (!bytes.empty()) {
-      EXPECT_TRUE(server(r).handle_write(journal_name, bytes).is_ok());
+      EXPECT_TRUE(
+          server(r).handle_write_at(journal_name, 0, bytes).has_value());
     }
   }
 

@@ -243,7 +243,7 @@ TEST(IncrementalStoreTest, CorruptCopyFailsOverToGoodReplica) {
     std::vector<std::uint8_t> damaged(bytes->begin(), bytes->end());
     damaged[damaged.size() / 2] ^= 0x40;
     ASSERT_TRUE(rig.s0.remove_file(path).has_value());
-    ASSERT_TRUE(rig.s0.handle_write(path, damaged).is_ok());
+    ASSERT_TRUE(rig.s0.handle_write_at(path, 0, damaged).has_value());
   }
   compress::RecoveryPolicy strict;
   strict.fail_on_any_loss = true;
@@ -627,7 +627,7 @@ void replace_everywhere(Rig& rig, const std::string& path,
                         std::span<const std::uint8_t> bytes) {
   for (NfsServer* s : {&rig.s0, &rig.s1, &rig.s2}) {
     (void)s->remove_file(path);
-    ASSERT_TRUE(s->handle_write(path, bytes).is_ok());
+    ASSERT_TRUE(s->handle_write_at(path, 0, bytes).has_value());
   }
 }
 

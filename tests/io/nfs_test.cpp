@@ -19,32 +19,21 @@ std::vector<std::uint8_t> pattern(std::size_t n) {
 TEST(NfsServerTest, StoresAndReadsBack) {
   NfsServer server;
   const auto data = pattern(100);
-  ASSERT_TRUE(server.handle_write("/dump/a.bin", data).is_ok());
+  ASSERT_TRUE(server.handle_write_at("/dump/a.bin", 0, data).has_value());
   const auto read = server.read_file("/dump/a.bin");
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(std::vector<std::uint8_t>(read->begin(), read->end()), data);
 }
 
-TEST(NfsServerTest, AppendsAcrossWrites) {
-  NfsServer server;
-  ASSERT_TRUE(server.handle_write("f", pattern(10)).is_ok());
-  ASSERT_TRUE(server.handle_write("f", pattern(5)).is_ok());
-  const auto read = server.read_file("f");
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->size(), 15u);
-  EXPECT_EQ(server.total_bytes_stored().bytes(), 15u);
-  EXPECT_EQ(server.rpc_count(), 2u);
-}
-
 TEST(NfsServerTest, RejectsEmptyPathAndMissingFile) {
   NfsServer server;
-  EXPECT_FALSE(server.handle_write("", pattern(4)).is_ok());
+  EXPECT_FALSE(server.handle_write_at("", 0, pattern(4)).has_value());
   EXPECT_FALSE(server.read_file("missing").has_value());
 }
 
 TEST(NfsServerTest, RemoveAllClearsState) {
   NfsServer server;
-  ASSERT_TRUE(server.handle_write("f", pattern(10)).is_ok());
+  ASSERT_TRUE(server.handle_write_at("f", 0, pattern(10)).has_value());
   server.remove_all();
   EXPECT_EQ(server.file_count(), 0u);
   EXPECT_EQ(server.total_bytes_stored().bytes(), 0u);
@@ -150,6 +139,32 @@ TEST(NfsClientTest, ZeroChunkSizeRejected) {
   config.rpc_chunk_bytes = 0;
   NfsClient client{server, config};
   EXPECT_FALSE(client.write_file("x", pattern(10)).is_ok());
+}
+
+TEST(NfsClientTest, RewriteOverStaleCopyIsTheSameWithOrWithoutInjector) {
+  // write_file used to append without an injector and write at offsets
+  // with one, so the same call on an existing path left different files.
+  NfsClientConfig config;
+  config.rpc_chunk_bytes = 64;
+  const auto data = pattern(300);
+  const std::vector<std::uint8_t> stale(200, 0xAB);
+  const FaultInjector clean{FaultPlan{}};
+  std::vector<std::vector<std::uint8_t>> stored;
+  for (const FaultInjector* injector :
+       {static_cast<const FaultInjector*>(nullptr), &clean}) {
+    NfsServer server;
+    ASSERT_TRUE(server.handle_write_at("f", 0, stale).has_value());
+    NfsClient client{server, config};
+    client.attach_fault_injector(injector);
+    ASSERT_TRUE(client.write_file("f", data).is_ok());
+    EXPECT_EQ(client.rpcs_issued(), 5u);  // ceil(300/64)
+    const auto read = server.read_file("f");
+    ASSERT_TRUE(read.has_value());
+    stored.emplace_back(read->begin(), read->end());
+  }
+  ASSERT_EQ(stored.size(), 2u);
+  EXPECT_EQ(stored[0], stored[1]);
+  EXPECT_EQ(stored[0], data);
 }
 
 TEST(DiskSpecTest, WriteTimeFollowsThroughput) {

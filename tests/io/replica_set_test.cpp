@@ -7,13 +7,13 @@
 #include <atomic>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/fault.hpp"
 #include "io/nfs_server.hpp"
 #include "io/replica_set.hpp"
 #include "support/checksum.hpp"
-#include "support/scoped_thread.hpp"
 
 namespace lcp::io {
 namespace {
@@ -109,7 +109,8 @@ TEST(ReplicaSetTest, ReadFailsOverPastCorruptCopy) {
   // Replace replica 0's copy with garbage; the verifier must reject it
   // and the read must land on replica 1.
   ASSERT_TRUE(rig.server(0).remove_file("f").has_value());
-  ASSERT_TRUE(rig.server(0).handle_write("f", pattern(64, 7)).is_ok());
+  ASSERT_TRUE(
+      rig.server(0).handle_write_at("f", 0, pattern(64, 7)).has_value());
   const auto got = rig.set.read_file(
       "f", /*preferred=*/0, [want](std::span<const std::uint8_t> bytes) {
         if (crc32c(bytes) != want) {
@@ -169,7 +170,7 @@ TEST(ReplicaSetTest, ConcurrentDownToggleDuringReads) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> reads_ok{0};
-  std::vector<ScopedThread> readers;
+  std::vector<std::thread> readers;
   for (std::size_t t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
       while (!stop.load(std::memory_order_relaxed)) {
@@ -194,7 +195,9 @@ TEST(ReplicaSetTest, ConcurrentDownToggleDuringReads) {
   }
   rig.set.set_replica_down(0, false);
   stop.store(true, std::memory_order_relaxed);
-  readers.clear();  // joins
+  for (auto& reader : readers) {
+    reader.join();
+  }
 
   EXPECT_GE(reads_ok.load(), 300u);
   EXPECT_FALSE(rig.set.replica_down(0));

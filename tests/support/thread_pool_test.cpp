@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
-#include <numeric>
+#include <barrier>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,22 +11,9 @@
 namespace lcp {
 namespace {
 
-TEST(ThreadPoolTest, SubmittedTasksRun) {
-  ThreadPool pool{2};
-  EXPECT_EQ(pool.worker_count(), 2u);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&count] { ++count; }));
-  }
-  for (auto& f : futures) {
-    f.wait();
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool{3};
+  EXPECT_EQ(pool.worker_count(), 3u);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) {
@@ -64,53 +50,11 @@ TEST(ThreadPoolTest, ParallelForPropagatesException) {
       std::runtime_error);
 }
 
-TEST(ThreadPoolTest, SubmitFuturePropagatesException) {
-  ThreadPool pool{1};
-  auto f = pool.submit([] { throw std::logic_error("bad"); });
-  EXPECT_THROW(f.get(), std::logic_error);
-}
-
-TEST(ThreadPoolTest, DestructionDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool{1};
-    for (int i = 0; i < 20; ++i) {
-      (void)pool.submit([&count] { ++count; });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(count.load(), 20);
-}
-
 TEST(ThreadPoolTest, NestedSizesAndLargeRange) {
   ThreadPool pool{4};
   std::atomic<std::size_t> total{0};
   pool.parallel_for(0, 100000, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 100000u);
-}
-
-TEST(ThreadPoolTest, StressManyTinyTasksFromManySubmitters) {
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksEach = 500;
-  ThreadPool pool{3};
-  std::atomic<int> count{0};
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&pool, &count] {
-      std::vector<std::future<void>> futures;
-      futures.reserve(kTasksEach);
-      for (int i = 0; i < kTasksEach; ++i) {
-        futures.push_back(pool.submit([&count] { ++count; }));
-      }
-      for (auto& f : futures) {
-        f.get();
-      }
-    });
-  }
-  for (auto& t : submitters) {
-    t.join();
-  }
-  EXPECT_EQ(count.load(), kSubmitters * kTasksEach);
 }
 
 TEST(ThreadPoolTest, GrainSizesCoverEveryIndexExactlyOnce) {
@@ -154,6 +98,89 @@ TEST(ThreadPoolTest, PoolStaysUsableAfterParallelForThrows) {
   std::atomic<int> n{0};
   pool.parallel_for(0, 100, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 100);
+}
+
+TEST(ThreadPoolTest, FirstExceptionStopsTheWalkEarly) {
+  // The first throw moves the cursor past the end, so the other threads
+  // stop claiming chunks instead of running the rest of the range.
+  constexpr std::size_t kRange = 1000000;
+  ThreadPool pool{3};
+  std::atomic<std::size_t> calls{0};
+  EXPECT_THROW(pool.parallel_for(
+                   0, kRange,
+                   [&](std::size_t) {
+                     if (calls.fetch_add(1) == 0) {
+                       throw std::runtime_error("first");
+                     }
+                   },
+                   1),
+               std::runtime_error);
+  EXPECT_LT(calls.load(), kRange / 2);
+}
+
+TEST(ThreadPoolTest, NestedParallelForCoversEveryPairExactlyOnce) {
+  // A body that calls parallel_for on its own pool runs the inner range
+  // inline instead of waiting for a team that is busy running it.
+  constexpr std::size_t kOuter = 24;
+  constexpr std::size_t kInner = 37;
+  ThreadPool pool{3};
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(
+      0, kOuter,
+      [&](std::size_t i) {
+        pool.parallel_for(0, kInner,
+                          [&](std::size_t j) { ++hits[i * kInner + j]; });
+      },
+      1);
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    ASSERT_EQ(hits[k].load(), 1) << "pair " << k / kInner << ", " << k % kInner;
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersLoseNoIndex) {
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRange = 3000;
+  constexpr int kRounds = 20;
+  ThreadPool pool{2};
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) {
+    h = std::vector<std::atomic<int>>(kRange);
+  }
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &h = hits[c]] {
+      for (int round = 0; round < kRounds; ++round) {
+        pool.parallel_for(0, kRange, [&](std::size_t i) { ++h[i]; }, 7);
+      }
+    });
+  }
+  for (auto& caller : callers) {
+    caller.join();
+  }
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < kRange; ++i) {
+      ASSERT_EQ(hits[c][i].load(), kRounds) << "caller " << c << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ComputesOnWorkersPlusCallerThreads) {
+  // Every one of the w + 1 bodies waits at a barrier of w + 1 participants,
+  // so the walk completes only if w workers and the caller each run one.
+  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool{workers};
+    std::barrier all_threads{static_cast<std::ptrdiff_t>(workers + 1)};
+    std::atomic<std::size_t> passed{0};
+    pool.parallel_for(
+        0, workers + 1,
+        [&](std::size_t) {
+          all_threads.arrive_and_wait();
+          ++passed;
+        },
+        1);
+    EXPECT_EQ(passed.load(), workers + 1) << workers;
+  }
 }
 
 }  // namespace

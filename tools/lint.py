@@ -13,9 +13,10 @@ naked-concurrency
     `std::thread` (or their lock RAII types) outside `src/support/`.
     Everything else must use the annotated wrappers from
     `support/thread_annotations.hpp` (Mutex, SharedMutex, CondVar,
-    MutexLock, ReaderLock, WriterLock) and `support/scoped_thread.hpp`
-    (ScopedThread), so Clang's -Wthread-safety analysis covers every lock
-    in the tree. Naked primitives are invisible to the analysis.
+    MutexLock, ReaderLock, WriterLock) and run parallel work on
+    `ThreadPool` from `support/thread_pool.hpp`, so Clang's
+    -Wthread-safety analysis covers every lock in the tree. Naked
+    primitives are invisible to the analysis.
 
 no-analysis-suppression
     `LCP_NO_THREAD_SAFETY_ANALYSIS` (or the raw attribute) may appear only
@@ -106,7 +107,7 @@ def check_naked_concurrency(root: pathlib.Path) -> list[Finding]:
                         f"{m.group(0)} outside src/support/; use the "
                         "annotated wrappers from "
                         "support/thread_annotations.hpp "
-                        "(or ScopedThread from support/scoped_thread.hpp)",
+                        "(or ThreadPool from support/thread_pool.hpp)",
                     )
                 )
     return findings
