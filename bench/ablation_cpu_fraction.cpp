@@ -7,6 +7,7 @@
 
 #include "common.hpp"
 #include "tuning/optimizer.hpp"
+#include "tuning/plan.hpp"
 
 int main() {
   using namespace lcp;
@@ -24,7 +25,10 @@ int main() {
     const auto w = power::compression_workload(spec, Seconds{10.0}, beta, 1.0);
     const auto report = tuning::evaluate_tuning(spec, w, spec.f_max,
                                                 spec.f_max * 0.875);
-    const auto f_opt = tuning::energy_optimal_frequency(spec, w);
+    const auto f_opt = tuning::plan(spec, {{"compress", w}}, tuning::MinEnergy{})
+                           .value()
+                           .stages[0]
+                           .frequency;
     const auto opt_report =
         tuning::evaluate_tuning(spec, w, spec.f_max, f_opt);
     table.add_row({format_double(beta, 2),

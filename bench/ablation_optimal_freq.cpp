@@ -7,6 +7,7 @@
 #include "common.hpp"
 #include "io/transit_model.hpp"
 #include "tuning/optimizer.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 int main() {
@@ -38,7 +39,11 @@ int main() {
       const auto rule_report = tuning::evaluate_tuning(
           spec, stage.workload, spec.f_max, stage.rule_f);
       const auto f_opt =
-          tuning::energy_optimal_frequency(spec, stage.workload);
+          tuning::plan(spec, {{stage.name, stage.workload}},
+                       tuning::MinEnergy{})
+              .value()
+              .stages[0]
+              .frequency;
       const auto opt_report =
           tuning::evaluate_tuning(spec, stage.workload, spec.f_max, f_opt);
       table.add_row(

@@ -3,11 +3,11 @@
 // whose content hash changed, at the price of R-way replication of what
 // it does ship. Two ladders:
 //
-//   1. Model grid: tuning::plan_incremental_dump over dirty fraction x
-//      replication factor, gated on (a) d = 1, R = 1 reproducing
-//      plan_compressed_dump bit-for-bit, (b) energy monotone in d, and
-//      (c) the delta dump never costing more than the full dump it
-//      replaces at the same R.
+//   1. Model grid: tuning::incremental_dump_stages priced by
+//      tuning::compare over dirty fraction x replication factor, gated on
+//      (a) d = 1, R = 1 reproducing the full two-stage dump bit-for-bit,
+//      (b) energy monotone in d, and (c) the delta dump never costing more
+//      than the full dump it replaces at the same R.
 //
 //   2. Functional ladder: a 3-replica store takes a 3-generation delta
 //      chain over a Nyx field, restores every generation byte-identically
@@ -34,6 +34,7 @@
 #include "support/ascii_plot.hpp"
 #include "support/csv.hpp"
 #include "tuning/io_plan.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 namespace {
@@ -82,34 +83,34 @@ int main() {
                                    data::DatasetId::kNyx, 1e-3,
                                    data::Scale::kCi, 20220530);
   LCP_REQUIRE(cal.has_value(), "calibration failed");
-  const double scale_up = static_cast<double>(volume.bytes()) /
-                          static_cast<double>(cal->input_bytes.bytes());
-  core::Calibration full_cal = *cal;
-  full_cal.native_seconds = cal->native_seconds * scale_up;
-  full_cal.input_bytes = volume;
+  const core::Calibration full_cal = core::scale_to_volume(*cal, volume);
   const power::Workload compress_w =
       core::workload_from_calibration(full_cal, spec);
-  const Bytes compressed{static_cast<std::uint64_t>(
-      static_cast<double>(volume.bytes()) / cal->compression_ratio)};
-  const power::Workload write_w =
-      io::transit_workload(spec, compressed, transit);
+  const power::Workload write_w = io::transit_workload(
+      spec, core::dump_bytes(full_cal, 0).compressed, transit);
+  const auto incremental_plan = [&](const tuning::IncrementalDumpSpec& inc) {
+    return tuning::compare(
+        spec, tuning::incremental_dump_stages(compress_w, write_w, inc),
+        {rule});
+  };
 
-  const auto full_plan =
-      tuning::plan_compressed_dump(spec, compress_w, write_w, rule);
+  const auto full_plan = tuning::compare(
+      spec,
+      {{"compress", compress_w, tuning::StageRole::kCompute},
+       {"write", write_w, tuning::StageRole::kTransit}},
+      {rule});
 
   tuning::IncrementalDumpSpec degenerate;
   degenerate.dirty_fraction = 1.0;
   degenerate.replicas = 1;
-  const auto deg =
-      tuning::plan_incremental_dump(spec, compress_w, write_w, rule,
-                                    degenerate);
+  const auto deg = incremental_plan(degenerate);
   const bool degeneracy_exact =
-      deg.plan.energy_tuned.joules() == full_plan.energy_tuned.joules() &&
-      deg.plan.energy_base.joules() == full_plan.energy_base.joules() &&
-      deg.plan.runtime_tuned.seconds() == full_plan.runtime_tuned.seconds() &&
-      deg.plan.runtime_base.seconds() == full_plan.runtime_base.seconds();
+      deg.tuned.energy.joules() == full_plan.tuned.energy.joules() &&
+      deg.base.energy.joules() == full_plan.base.energy.joules() &&
+      deg.tuned.runtime.seconds() == full_plan.tuned.runtime.seconds() &&
+      deg.base.runtime.seconds() == full_plan.base.runtime.seconds();
   bench::print_comparison(
-      "plan_incremental_dump(d=1, R=1) == plan_compressed_dump (bit-for-bit)",
+      "incremental plan (d=1, R=1) == two-stage dump plan (bit-for-bit)",
       "yes", degeneracy_exact ? "yes" : "NO");
 
   const std::vector<double> dirties = {0.02, 0.05, 0.10, 0.25, 0.50, 1.00};
@@ -131,27 +132,24 @@ int main() {
       tuning::IncrementalDumpSpec inc_spec;
       inc_spec.dirty_fraction = d;
       inc_spec.replicas = r;
-      const auto plan =
-          tuning::plan_incremental_dump(spec, compress_w, write_w, rule,
-                                        inc_spec);
-      const double joules = plan.plan.energy_tuned.joules();
+      const auto plan = incremental_plan(inc_spec);
+      const double joules = plan.tuned.energy.joules();
+      const double saved_vs_full = full_plan.tuned.energy.joules() - joules;
       if (!s.x.empty() && joules < prev) {
         grid_monotone = false;
       }
       prev = joules;
       // At R = 1 the full dump is the ceiling: no dirty fraction may cost
       // more than re-shipping everything (d = 1 meets it exactly).
-      if (r == 1 && joules > full_plan.energy_tuned.joules()) {
+      if (r == 1 && joules > full_plan.tuned.energy.joules()) {
         never_worse_than_full = false;
       }
       grid_csv.add_row({format_double(d, 2), std::to_string(r),
                         format_double(joules, 2),
-                        format_double(plan.plan.runtime_tuned.seconds(), 3),
-                        format_double(plan.energy_saved_vs_full().joules(),
-                                      2)});
+                        format_double(plan.tuned.runtime.seconds(), 3),
+                        format_double(saved_vs_full, 2)});
       std::printf("  %7.0f%% %4zu %16.2f %14.3f %13.2f J\n", d * 100.0, r,
-                  joules, plan.plan.runtime_tuned.seconds(),
-                  plan.energy_saved_vs_full().joules());
+                  joules, plan.tuned.runtime.seconds(), saved_vs_full);
       s.x.push_back(d * 100.0);
       s.y.push_back(joules);
     }

@@ -22,7 +22,7 @@
 #include "io/transit_model.hpp"
 #include "support/ascii_plot.hpp"
 #include "support/csv.hpp"
-#include "tuning/io_plan.hpp"
+#include "tuning/plan.hpp"
 
 namespace {
 
@@ -33,6 +33,18 @@ lcp::power::Workload split_compute(const lcp::power::Workload& w,
   lcp::power::Workload out = w;
   out.cpu_ghz_seconds /= static_cast<double>(workers == 0 ? 1 : workers);
   return out;
+}
+
+/// The Fig. 6 dump pipelined over `depth` slabs, f_max vs the Eqn 3 rule.
+lcp::tuning::PlanComparison overlapped(const lcp::power::ChipSpec& spec,
+                                       const lcp::power::Workload& compress_w,
+                                       const lcp::power::Workload& write_w,
+                                       std::size_t depth) {
+  using lcp::tuning::StageRole;
+  return lcp::tuning::compare(spec,
+                              {{"compress", compress_w, StageRole::kCompute},
+                               {"write", write_w, StageRole::kTransit}},
+                              {lcp::tuning::paper_rule(), depth});
 }
 
 }  // namespace
@@ -46,7 +58,6 @@ int main() {
 
   // Same calibration path as the Fig. 6 dump experiment, CI scale.
   const auto& spec = power::chip(power::ChipId::kBroadwellD1548);
-  const tuning::TuningRule rule = tuning::paper_rule();
   const io::TransitModelConfig transit;
   const Bytes volume = Bytes::from_gb(512);
 
@@ -54,15 +65,10 @@ int main() {
                                    data::DatasetId::kNyx, 1e-3,
                                    data::Scale::kCi, 20220530);
   LCP_REQUIRE(cal.has_value(), "calibration failed");
-  const double scale_up = static_cast<double>(volume.bytes()) /
-                          static_cast<double>(cal->input_bytes.bytes());
-  core::Calibration full = *cal;
-  full.native_seconds = cal->native_seconds * scale_up;
-  full.input_bytes = volume;
+  const core::Calibration full = core::scale_to_volume(*cal, volume);
   const power::Workload compress_w = core::workload_from_calibration(full, spec);
-  const Bytes compressed{static_cast<std::uint64_t>(
-      static_cast<double>(volume.bytes()) / cal->compression_ratio)};
-  const power::Workload write_w = io::transit_workload(spec, compressed, transit);
+  const power::Workload write_w = io::transit_workload(
+      spec, core::dump_bytes(full, 0).compressed, transit);
 
   CsvWriter csv{{"pipeline_depth", "workers", "runtime_serial_s",
                  "runtime_overlap_s", "energy_serial_j", "energy_overlap_j",
@@ -79,14 +85,13 @@ int main() {
   bool depth1_exact = false;
   double prev_runtime = 0.0;
   for (std::size_t depth : {1, 2, 4, 8, 16, 32}) {
-    const auto plan =
-        tuning::plan_overlapped_dump(spec, compress_w, write_w, rule, depth);
-    const double serial_s = plan.tuned.serial_runtime.seconds();
+    const auto plan = overlapped(spec, compress_w, write_w, depth);
+    const double serial_s = plan.tuned.serial_runtime().seconds();
     const double overlap_s = plan.tuned.runtime.seconds();
+    const double serial_j = plan.tuned.serial_energy().joules();
     if (depth == 1) {
-      depth1_exact = overlap_s == serial_s &&
-                     plan.tuned.energy.joules() ==
-                         plan.tuned.serial_energy.joules();
+      depth1_exact =
+          overlap_s == serial_s && plan.tuned.energy.joules() == serial_j;
     } else if (overlap_s > prev_runtime) {
       depth_monotone = false;
     }
@@ -94,13 +99,11 @@ int main() {
     depth_series.x.push_back(static_cast<double>(depth));
     depth_series.y.push_back(overlap_s);
     std::printf("  %7zu %14.1f %14.1f %14.1f %14.1f\n", depth, serial_s,
-                overlap_s, plan.tuned.serial_energy.joules(),
-                plan.tuned.energy.joules());
+                overlap_s, serial_j, plan.tuned.energy.joules());
     csv.add_row({std::to_string(depth), "1", format_double(serial_s, 2),
-                 format_double(overlap_s, 2),
-                 format_double(plan.tuned.serial_energy.joules(), 1),
+                 format_double(overlap_s, 2), format_double(serial_j, 1),
                  format_double(plan.tuned.energy.joules(), 1),
-                 format_double(plan.tuned.overlap_saved().seconds(), 2),
+                 format_double(serial_s - overlap_s, 2),
                  format_double(plan.energy_savings(), 4)});
   }
 
@@ -119,10 +122,9 @@ int main() {
     const power::Workload cw = split_compute(compress_w, workers);
     std::printf("  %8zu", workers);
     for (std::size_t depth : {1, 4, 16}) {
-      const auto plan =
-          tuning::plan_overlapped_dump(spec, cw, write_w, rule, depth);
-      if (plan.tuned.runtime.seconds() >
-          plan.tuned.serial_runtime.seconds() + 1e-9) {
+      const auto plan = overlapped(spec, cw, write_w, depth);
+      const double serial_s = plan.tuned.serial_runtime().seconds();
+      if (plan.tuned.runtime.seconds() > serial_s + 1e-9) {
         overlap_never_worse = false;
       }
       char cell[64];
@@ -131,11 +133,11 @@ int main() {
                     plan.tuned.energy.joules() / 1e3);
       std::printf(" %18s", cell);
       csv.add_row({std::to_string(depth), std::to_string(workers),
-                   format_double(plan.tuned.serial_runtime.seconds(), 2),
+                   format_double(serial_s, 2),
                    format_double(plan.tuned.runtime.seconds(), 2),
-                   format_double(plan.tuned.serial_energy.joules(), 1),
+                   format_double(plan.tuned.serial_energy().joules(), 1),
                    format_double(plan.tuned.energy.joules(), 1),
-                   format_double(plan.tuned.overlap_saved().seconds(), 2),
+                   format_double(serial_s - plan.tuned.runtime.seconds(), 2),
                    format_double(plan.energy_savings(), 4)});
     }
     std::printf("\n");
@@ -143,9 +145,10 @@ int main() {
 
   // The dump experiment rides the same model: overlap=off leaves the
   // outcome bare, overlap=on adds the streaming schedule next to (not
-  // instead of) the serial plan — its embedded serial comparison must
-  // match the classic plan of the very same run exactly. (Cross-run joule
-  // equality is not assertable here: calibration re-measures wall time.)
+  // instead of) the serial plan — both price the very same stages, so the
+  // f_max pipeline's serial sum must equal the serial base plan of the
+  // same run exactly. (Cross-run joule equality is not assertable here:
+  // calibration re-measures wall time.)
   core::DumpConfig dc;
   dc.error_bounds = {1e-3};
   auto serial_run = core::run_dump_experiment(dc);
@@ -157,10 +160,10 @@ int main() {
   const auto& on = overlap_run->outcomes[0];
   const bool off_identical =
       !serial_run->outcomes[0].overlapped && on.overlapped &&
-      on.overlap.serial.energy_tuned.joules() ==
-          on.plan.energy_tuned.joules() &&
-      on.overlap.serial.runtime_tuned.seconds() ==
-          on.plan.runtime_tuned.seconds();
+      on.overlap.base.serial_energy().joules() ==
+          on.plan.base.energy.joules() &&
+      on.overlap.base.serial_runtime().seconds() ==
+          on.plan.base.runtime.seconds();
 
   std::error_code ec;
   std::filesystem::create_directories("bench_out", ec);

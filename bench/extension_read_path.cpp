@@ -31,8 +31,8 @@ int main() {
     table.add_row({format_scientific(o.error_bound, 0),
                    format_double(o.compression_ratio, 1),
                    format_double(o.compressed_bytes.gb(), 1) + "GB",
-                   format_double(o.plan.energy_base.kj(), 2),
-                   format_double(o.plan.energy_tuned.kj(), 2),
+                   format_double(o.plan.base.energy.kj(), 2),
+                   format_double(o.plan.tuned.energy.kj(), 2),
                    format_percent(o.plan.energy_savings(), 1),
                    format_percent(o.plan.runtime_increase(), 1)});
   }

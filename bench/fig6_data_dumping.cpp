@@ -32,8 +32,8 @@ int main() {
     table.add_row({format_scientific(o.error_bound, 0),
                    format_double(o.compression_ratio, 1),
                    format_double(o.compressed_bytes.gb(), 1) + "GB",
-                   format_double(o.plan.energy_base.kj(), 2),
-                   format_double(o.plan.energy_tuned.kj(), 2),
+                   format_double(o.plan.base.energy.kj(), 2),
+                   format_double(o.plan.tuned.energy.kj(), 2),
                    format_double(o.plan.energy_saved().kj(), 2),
                    format_percent(o.plan.energy_savings(), 1),
                    format_percent(o.plan.runtime_increase(), 1)});
@@ -43,8 +43,8 @@ int main() {
   // Bar-chart style rendering of base vs tuned per bound.
   std::printf("\n");
   for (const auto& o : result->outcomes) {
-    const double base_kj = o.plan.energy_base.kj();
-    const double tuned_kj = o.plan.energy_tuned.kj();
+    const double base_kj = o.plan.base.energy.kj();
+    const double tuned_kj = o.plan.tuned.energy.kj();
     const double unit = base_kj / 50.0;
     std::printf("  eb=%-6.0e base  |%s %.1f kJ\n", o.error_bound,
                 std::string(static_cast<std::size_t>(base_kj / unit), '#')
@@ -58,7 +58,7 @@ int main() {
 
   bool always_lower = true;
   for (const auto& o : result->outcomes) {
-    always_lower &= o.plan.energy_tuned < o.plan.energy_base;
+    always_lower &= o.plan.tuned.energy < o.plan.base.energy;
   }
   std::printf("\nShape checks vs the paper:\n");
   bench::print_comparison("tuned always below base clock", "yes",
@@ -80,8 +80,8 @@ int main() {
     csv.add_row({format_scientific(o.error_bound, 1),
                  format_double(o.compression_ratio, 2),
                  format_double(o.compressed_bytes.gb(), 2),
-                 format_double(o.plan.energy_base.kj(), 3),
-                 format_double(o.plan.energy_tuned.kj(), 3)});
+                 format_double(o.plan.base.energy.kj(), 3),
+                 format_double(o.plan.tuned.energy.kj(), 3)});
   }
   std::error_code ec;
   std::filesystem::create_directories("bench_out", ec);

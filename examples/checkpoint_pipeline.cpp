@@ -16,7 +16,7 @@
 #include "data/generators.hpp"
 #include "io/nfs_client.hpp"
 #include "io/transit_model.hpp"
-#include "tuning/io_plan.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 int main(int argc, char** argv) {
@@ -73,20 +73,23 @@ int main(int argc, char** argv) {
         spec, compressed->native_wall_time, 0.53, 1.0);
     const auto write_w = io::transit_workload(
         spec, Bytes{compressed->container.size()}, transit);
-    const auto cmp =
-        tuning::plan_compressed_dump(spec, compress_w, write_w, rule);
-    total_base = total_base + cmp.energy_base;
-    total_tuned = total_tuned + cmp.energy_tuned;
-    time_base = time_base + cmp.runtime_base;
-    time_tuned = time_tuned + cmp.runtime_tuned;
+    const auto cmp = tuning::compare(
+        spec,
+        {{"compress", compress_w, tuning::StageRole::kCompute},
+         {"write", write_w, tuning::StageRole::kTransit}},
+        {rule});
+    total_base = total_base + cmp.base.energy;
+    total_tuned = total_tuned + cmp.tuned.energy;
+    time_base = time_base + cmp.base.runtime;
+    time_tuned = time_tuned + cmp.tuned.runtime;
 
     std::printf(
         "snap %2d: %6.1f MB -> %6.1f MB (CR %.2fx)  base %6.2f J | tuned "
         "%6.2f J\n",
         snap, field.size_bytes().mb(),
         static_cast<double>(compressed->container.size()) / 1e6,
-        compressed->compression_ratio(), cmp.energy_base.joules(),
-        cmp.energy_tuned.joules());
+        compressed->compression_ratio(), cmp.base.energy.joules(),
+        cmp.tuned.energy.joules());
   }
 
   std::printf("\nNFS server now holds %zu files, %.1f MB total (raw %.1f MB)\n",

@@ -23,7 +23,7 @@
 #include "io/nfs_server.hpp"
 #include "io/transit_model.hpp"
 #include "power/chip_model.hpp"
-#include "tuning/io_plan.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 int main(int argc, char** argv) {
@@ -95,8 +95,15 @@ int main(int argc, char** argv) {
     const auto clean_w = io::transit_workload(spec, dump_bytes, transit);
     const auto degraded_w =
         io::transit_workload(spec, dump_bytes, transit, profile);
-    const auto dump = tuning::plan_compressed_dump_under_faults(
-        spec, compress_w, clean_w, degraded_w, rule);
+    const auto dump_over = [&](const power::Workload& write_w) {
+      return tuning::compare(spec,
+                             {{"compress", compress_w,
+                               tuning::StageRole::kCompute},
+                              {"write", write_w, tuning::StageRole::kTransit}},
+                             {rule});
+    };
+    const auto clean = dump_over(clean_w);
+    const auto degraded = dump_over(degraded_w);
 
     std::printf(
         "\n%s (%s):\n"
@@ -104,15 +111,12 @@ int main(int argc, char** argv) {
         "  degraded link: tuned %.1f J / %.2f s  (saves %.1f%% energy)\n"
         "  fault overhead on the tuned plan: +%.1f J, +%.3f s\n",
         spec.cpu_name.c_str(), spec.series.c_str(),
-        dump.clean.energy_tuned.joules(),
-        dump.clean.runtime_tuned.seconds(),
-        100.0 * dump.clean.energy_savings(),
-        dump.degraded.energy_tuned.joules(),
-        dump.degraded.runtime_tuned.seconds(),
-        100.0 * dump.degraded.energy_savings(),
-        dump.fault_energy_overhead().joules(),
-        dump.fault_runtime_overhead().seconds());
-    if (dump.degraded.energy_savings() > 0.0) {
+        clean.tuned.energy.joules(), clean.tuned.runtime.seconds(),
+        100.0 * clean.energy_savings(), degraded.tuned.energy.joules(),
+        degraded.tuned.runtime.seconds(), 100.0 * degraded.energy_savings(),
+        (degraded.tuned.energy - clean.tuned.energy).joules(),
+        (degraded.tuned.runtime - clean.tuned.runtime).seconds());
+    if (degraded.energy_savings() > 0.0) {
       std::printf("  => Eqn 3 tuning still pays off on the lossy link\n");
     } else {
       std::printf("  => faults have erased the tuning gain on this chip\n");

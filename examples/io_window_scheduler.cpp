@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "io/transit_model.hpp"
-#include "tuning/scheduler.hpp"
+#include "tuning/plan.hpp"
 
 int main(int argc, char** argv) {
   using namespace lcp;
@@ -24,21 +24,26 @@ int main(int argc, char** argv) {
 
   // A plausible checkpoint window: three field compressions of different
   // sizes/codecs and two NFS writes.
-  const std::vector<tuning::Job> jobs = {
+  using tuning::StageRole;
+  const std::vector<tuning::Stage> jobs = {
       {"sz  CESM 674MB",
-       power::compression_workload(spec, Seconds{18.0}, 0.53, 1.0)},
+       power::compression_workload(spec, Seconds{18.0}, 0.53, 1.0),
+       StageRole::kCompute},
       {"sz  NYX 537MB",
-       power::compression_workload(spec, Seconds{14.0}, 0.53, 1.0)},
+       power::compression_workload(spec, Seconds{14.0}, 0.53, 1.0),
+       StageRole::kCompute},
       {"zfp HACC 1047MB",
-       power::compression_workload(spec, Seconds{25.0}, 0.50, 0.94)},
-      {"nfs write 4GB", io::transit_workload(spec, Bytes::from_gb(4), {})},
-      {"nfs write 9GB", io::transit_workload(spec, Bytes::from_gb(9), {})},
+       power::compression_workload(spec, Seconds{25.0}, 0.50, 0.94),
+       StageRole::kCompute},
+      {"nfs write 4GB", io::transit_workload(spec, Bytes::from_gb(4), {}),
+       StageRole::kTransit},
+      {"nfs write 9GB", io::transit_workload(spec, Bytes::from_gb(9), {}),
+       StageRole::kTransit},
   };
 
-  const auto baseline = tuning::schedule_baseline(spec, jobs);
-  const Seconds deadline =
-      baseline.total_runtime * (1.0 + slack_percent / 100.0);
-  const auto tuned = tuning::schedule_for_deadline(spec, jobs, deadline);
+  const auto baseline = tuning::plan(spec, jobs, tuning::MaxClock{}).value();
+  const Seconds deadline = baseline.runtime * (1.0 + slack_percent / 100.0);
+  const auto tuned = tuning::plan(spec, jobs, tuning::MinEnergy{deadline});
   if (!tuned) {
     std::fprintf(stderr, "scheduling failed: %s\n",
                  tuned.status().to_string().c_str());
@@ -51,36 +56,29 @@ int main(int argc, char** argv) {
       spec.cpu_name.c_str(), slack_percent, "job", "base f", "tuned f",
       "t (s)", "E (J)");
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto& b = baseline.jobs[j];
-    const auto& t = tuned->jobs[j];
-    std::printf("%-18s %7.2fGHz %7.2fGHz %10.2f %10.1f\n",
-                t.job.name.c_str(), b.frequency.ghz(), t.frequency.ghz(),
-                t.runtime.seconds(), t.energy.joules());
+    const auto& b = baseline.stages[j];
+    const auto& t = tuned->stages[j];
+    std::printf("%-18s %7.2fGHz %7.2fGHz %10.2f %10.1f\n", t.name.c_str(),
+                b.frequency.ghz(), t.frequency.ghz(), t.runtime.seconds(),
+                t.energy.joules());
   }
   std::printf(
       "\nwindow totals:\n"
       "  baseline : %8.1f J in %7.2f s\n"
       "  scheduled: %8.1f J in %7.2f s (deadline %.2f s)\n"
       "  saved    : %8.1f J (%.1f%%)\n",
-      baseline.total_energy.joules(), baseline.total_runtime.seconds(),
-      tuned->total_energy.joules(), tuned->total_runtime.seconds(),
-      deadline.seconds(),
-      (baseline.total_energy - tuned->total_energy).joules(),
-      100.0 * (1.0 - tuned->total_energy / baseline.total_energy));
+      baseline.energy.joules(), baseline.runtime.seconds(),
+      tuned->energy.joules(), tuned->runtime.seconds(), deadline.seconds(),
+      (baseline.energy - tuned->energy).joules(),
+      100.0 * (1.0 - tuned->energy / baseline.energy));
 
   // Compare against the paper's one-size Eqn 3 rule applied blindly.
-  double eqn3_energy = 0.0;
-  double eqn3_runtime = 0.0;
-  for (const auto& job : jobs) {
-    const bool is_write = job.name.find("nfs") != std::string::npos;
-    const double fraction = is_write ? 0.85 : 0.875;
-    const GigaHertz f{spec.f_max.ghz() * fraction};
-    eqn3_energy += power::workload_energy(job.workload, spec, f).joules();
-    eqn3_runtime += power::workload_runtime(job.workload, spec, f).seconds();
-  }
+  const auto eqn3 =
+      tuning::plan(spec, jobs, tuning::RuleClocks{tuning::paper_rule()})
+          .value();
   std::printf(
       "\nEqn 3 fixed rule for reference: %8.1f J in %7.2f s\n"
       "(the scheduler matches or beats it whenever the deadline allows)\n",
-      eqn3_energy, eqn3_runtime);
+      eqn3.energy.joules(), eqn3.runtime.seconds());
   return 0;
 }

@@ -181,9 +181,9 @@ int cmd_dump(const std::string& chip_name, double gb, double eb) {
       "  Eqn 3 tuned       : %.2f kJ in %.0f s\n"
       "  savings           : %.2f kJ (%.1f%%), +%.1f%% runtime\n",
       gb, eb, chip_name.c_str(), o.compression_ratio,
-      o.compressed_bytes.gb(), o.plan.energy_base.kj(),
-      o.plan.runtime_base.seconds(), o.plan.energy_tuned.kj(),
-      o.plan.runtime_tuned.seconds(), o.plan.energy_saved().kj(),
+      o.compressed_bytes.gb(), o.plan.base.energy.kj(),
+      o.plan.base.runtime.seconds(), o.plan.tuned.energy.kj(),
+      o.plan.tuned.runtime.seconds(), o.plan.energy_saved().kj(),
       100.0 * o.plan.energy_savings(),
       100.0 * o.plan.runtime_increase());
   return 0;

@@ -9,34 +9,13 @@
 #include <cstdlib>
 
 #include "core/platform.hpp"
-#include "dvfs/frequency_range.hpp"
 #include "io/transit_model.hpp"
 #include "power/workload.hpp"
 #include "tuning/optimizer.hpp"
-
-namespace {
-
-using namespace lcp;
-
-/// Highest grid frequency whose modeled power is within the cap; f_min if
-/// even that exceeds it (the budget is then infeasible for this workload).
-GigaHertz advise(const power::ChipSpec& spec, const power::Workload& w,
-                 Watts cap, bool& feasible) {
-  const dvfs::FrequencyRange range{spec.f_min, spec.f_max, spec.f_step};
-  GigaHertz best = spec.f_min;
-  feasible = false;
-  for (GigaHertz f : range.steps()) {
-    if (power::workload_power(w, spec, f) <= cap) {
-      best = f;
-      feasible = true;
-    }
-  }
-  return best;
-}
-
-}  // namespace
+#include "tuning/plan.hpp"
 
 int main(int argc, char** argv) {
+  using namespace lcp;
   const double cap_watts = argc > 1 ? std::atof(argv[1]) : 11.0;
   if (cap_watts <= 0.0) {
     std::fprintf(stderr, "usage: %s [cap_watts > 0]\n", argv[0]);
@@ -65,15 +44,17 @@ int main(int argc, char** argv) {
          io::transit_workload(spec, Bytes::from_gb(4), {})},
     };
     for (const auto& s : scenarios) {
-      bool feasible = false;
-      const auto f = advise(spec, s.workload, cap, feasible);
-      if (!feasible) {
+      // The highest grid frequency whose modeled power is within the cap.
+      const auto capped =
+          tuning::plan(spec, {{s.name, s.workload}}, tuning::PowerCap{cap});
+      if (!capped) {
         std::printf(
             "  %-16s cap infeasible: even %.2f GHz draws %.1f W\n", s.name,
             spec.f_min.ghz(),
             power::workload_power(s.workload, spec, spec.f_min).watts());
         continue;
       }
+      const GigaHertz f = capped->stages[0].frequency;
       const auto report =
           tuning::evaluate_tuning(spec, s.workload, spec.f_max, f);
       std::printf(

@@ -19,6 +19,7 @@
 #include "data/generators.hpp"
 #include "model/power_law.hpp"
 #include "tuning/optimizer.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 int main() {
@@ -89,7 +90,11 @@ int main() {
       100.0 * report.runtime_increase(), report.energy_base.joules(),
       report.energy_tuned.joules(), 100.0 * report.energy_savings());
 
-  const auto f_opt = tuning::energy_optimal_frequency(node.spec(), workload);
+  const auto f_opt =
+      tuning::plan(node.spec(), {{"compress", workload}}, tuning::MinEnergy{})
+          .value()
+          .stages[0]
+          .frequency;
   std::printf("energy-optimal DVFS point for this workload: %.2f GHz\n",
               f_opt.ghz());
   return 0;

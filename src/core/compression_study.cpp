@@ -1,5 +1,6 @@
 #include "core/compression_study.hpp"
 
+#include "compress/common/framing.hpp"
 #include "compress/common/metrics.hpp"
 #include "data/generators.hpp"
 
@@ -48,20 +49,59 @@ Expected<Calibration> calibrate_codec_on_field(compress::CodecId codec,
   return cal;
 }
 
+namespace {
+
+// Throughput normalization of both codec directions: the from-scratch
+// codecs in this repo run ~6-7x slower than the optimized upstream SZ/ZFP
+// binaries the paper measured (hand-tuned SIMD kernels, zstd backend).
+// Relative costs (codec vs codec, bound vs bound, dataset vs dataset) are
+// preserved by the calibration; this constant rescales absolute times so
+// workload durations — and therefore joule magnitudes in Fig 6 — land at
+// the paper's scale.
+constexpr double kCodecSpeedNormalization = 0.25;
+
+}  // namespace
+
 power::Workload workload_from_calibration(const Calibration& cal,
                                           const power::ChipSpec& spec) {
   const CodecProfile profile = codec_profile(cal.codec);
-  // Throughput normalization: the from-scratch codecs in this repo run
-  // ~6-7x slower than the optimized upstream SZ/ZFP binaries the paper
-  // measured (hand-tuned SIMD kernels, zstd backend). Relative costs
-  // (codec vs codec, bound vs bound, dataset vs dataset) are preserved by
-  // the calibration; this constant rescales absolute times so workload
-  // durations — and therefore joule magnitudes in Fig 6 — land at the
-  // paper's scale.
-  constexpr double kCodecSpeedNormalization = 0.25;
   return power::compression_workload(
       spec, cal.native_seconds * kCodecSpeedNormalization,
       profile.cpu_fraction, profile.activity);
+}
+
+power::Workload decompress_workload_from_calibration(
+    const Calibration& cal, const power::ChipSpec& spec) {
+  const CodecProfile profile = codec_profile(cal.codec);
+  // Decompression skips the prediction search, so it is a touch less
+  // cpu-bound.
+  return power::compression_workload(
+      spec, cal.decompress_seconds * kCodecSpeedNormalization,
+      profile.cpu_fraction * 0.95, profile.activity);
+}
+
+Calibration scale_to_volume(const Calibration& cal, Bytes total) {
+  const double scale_up = static_cast<double>(total.bytes()) /
+                          static_cast<double>(cal.input_bytes.bytes());
+  Calibration full = cal;
+  full.native_seconds = cal.native_seconds * scale_up;
+  full.decompress_seconds = cal.decompress_seconds * scale_up;
+  full.input_bytes = total;
+  return full;
+}
+
+DumpBytes dump_bytes(const Calibration& cal, std::size_t frame_chunk_bytes) {
+  DumpBytes out;
+  out.compressed = Bytes{static_cast<std::uint64_t>(
+      static_cast<double>(cal.input_bytes.bytes()) / cal.compression_ratio)};
+  out.wire = out.compressed;
+  if (frame_chunk_bytes > 0) {
+    out.wire = Bytes{out.compressed.bytes() +
+                     compress::frame_overhead_bytes(
+                         static_cast<std::size_t>(out.compressed.bytes()),
+                         frame_chunk_bytes)};
+  }
+  return out;
 }
 
 Expected<CompressionStudyResult> run_compression_study(

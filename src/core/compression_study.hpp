@@ -91,4 +91,26 @@ struct CompressionStudyResult {
 [[nodiscard]] power::Workload workload_from_calibration(
     const Calibration& cal, const power::ChipSpec& spec);
 
+/// Decompression workload for a calibrated cell on a chip (decompression
+/// is lighter and slightly less cpu-bound than compression).
+[[nodiscard]] power::Workload decompress_workload_from_calibration(
+    const Calibration& cal, const power::ChipSpec& spec);
+
+/// `cal` extrapolated to a `total`-byte input by logical concatenation, as
+/// the paper builds its 512 GB dump: the compress and decompress times
+/// scale with the bytes, the ratio stays.
+[[nodiscard]] Calibration scale_to_volume(const Calibration& cal, Bytes total);
+
+/// What a dump of `cal.input_bytes` stores and moves.
+struct DumpBytes {
+  Bytes compressed;  ///< the input at the calibrated ratio
+  Bytes wire;        ///< plus the frame overhead when framed
+};
+
+/// `frame_chunk_bytes` > 0 frames the dump as a resilient stream cut at
+/// that chunk size (compress/common/framing.hpp); 0 leaves it unframed, so
+/// wire == compressed.
+[[nodiscard]] DumpBytes dump_bytes(const Calibration& cal,
+                                   std::size_t frame_chunk_bytes);
+
 }  // namespace lcp::core

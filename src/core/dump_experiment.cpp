@@ -1,7 +1,5 @@
 #include "core/dump_experiment.hpp"
 
-#include "compress/common/framing.hpp"
-
 namespace lcp::core {
 
 Joules DumpResult::mean_energy_saved() const noexcept {
@@ -46,38 +44,23 @@ Expected<DumpResult> run_dump_experiment(const DumpConfig& config) {
     }
 
     // Extrapolate the really-measured chunk to the full volume.
-    const double scale_up = static_cast<double>(cfg.total_bytes.bytes()) /
-                            static_cast<double>(cal->input_bytes.bytes());
-    Calibration full = *cal;
-    full.native_seconds = cal->native_seconds * scale_up;
-    full.input_bytes = cfg.total_bytes;
-
-    const auto compress_workload = workload_from_calibration(full, spec);
-    const Bytes compressed_bytes{static_cast<std::uint64_t>(
-        static_cast<double>(cfg.total_bytes.bytes()) /
-        cal->compression_ratio)};
-    Bytes wire_bytes = compressed_bytes;
-    if (cfg.frame_chunk_bytes > 0) {
-      wire_bytes =
-          Bytes{compressed_bytes.bytes() +
-                compress::frame_overhead_bytes(
-                    static_cast<std::size_t>(compressed_bytes.bytes()),
-                    cfg.frame_chunk_bytes)};
-    }
-    const auto write_workload =
-        io::transit_workload(spec, wire_bytes, cfg.transit);
+    const Calibration full = scale_to_volume(*cal, cfg.total_bytes);
+    const DumpBytes bytes = dump_bytes(full, cfg.frame_chunk_bytes);
+    const std::vector<tuning::Stage> stages = {
+        {"compress", workload_from_calibration(full, spec),
+         tuning::StageRole::kCompute},
+        {"write", io::transit_workload(spec, bytes.wire, cfg.transit),
+         tuning::StageRole::kTransit}};
 
     DumpOutcome outcome;
     outcome.error_bound = eb;
     outcome.compression_ratio = cal->compression_ratio;
-    outcome.compressed_bytes = compressed_bytes;
-    outcome.framed_bytes = wire_bytes;
-    outcome.plan = tuning::plan_compressed_dump(spec, compress_workload,
-                                                write_workload, cfg.rule);
+    outcome.compressed_bytes = bytes.compressed;
+    outcome.framed_bytes = bytes.wire;
+    outcome.plan = tuning::compare(spec, stages, {cfg.rule});
     if (cfg.overlap) {
       outcome.overlap =
-          tuning::plan_overlapped_dump(spec, compress_workload, write_workload,
-                                       cfg.rule, cfg.overlap_depth);
+          tuning::compare(spec, stages, {cfg.rule, cfg.overlap_depth});
       outcome.overlapped = true;
     }
     result.outcomes.push_back(outcome);

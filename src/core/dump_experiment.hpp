@@ -9,7 +9,7 @@
 
 #include "core/compression_study.hpp"
 #include "io/transit_model.hpp"
-#include "tuning/io_plan.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 namespace lcp::core {
@@ -29,10 +29,10 @@ struct DumpConfig {
   /// original unframed path bit-for-bit.
   std::size_t frame_chunk_bytes = 0;
   /// When true each outcome additionally carries the streaming engine's
-  /// overlapped schedule (tuning::plan_overlapped_dump over overlap_depth
-  /// slabs: compression of slab i+1 hidden behind the framed write of
-  /// slab i). Off leaves every outcome bit-identical to the serial
-  /// experiment — the serial plan is computed either way.
+  /// overlapped schedule (tuning::RuleClocks over overlap_depth slabs:
+  /// compression of slab i+1 hidden behind the framed write of slab i).
+  /// Off leaves every outcome bit-identical to the serial experiment — the
+  /// serial plan is computed either way.
   bool overlap = false;
   std::size_t overlap_depth = 8;
 };
@@ -45,10 +45,10 @@ struct DumpOutcome {
   /// Bytes actually put on the wire: compressed payload plus frame
   /// overhead; equals compressed_bytes when framing is off.
   Bytes framed_bytes;
-  tuning::PlanComparison plan;
-  /// Streaming schedule for the same workloads; default-constructed (and
+  tuning::PlanComparison plan;  ///< stages: "compress", then "write"
+  /// Streaming schedule for the same stages; default-constructed (and
   /// `overlapped` false) unless DumpConfig.overlap was set.
-  tuning::OverlapPlan overlap;
+  tuning::PlanComparison overlap;
   bool overlapped = false;
 };
 

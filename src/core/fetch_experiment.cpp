@@ -1,7 +1,5 @@
 #include "core/fetch_experiment.hpp"
 
-#include "compress/common/framing.hpp"
-
 namespace lcp::core {
 
 Joules FetchResult::mean_energy_saved() const noexcept {
@@ -26,18 +24,6 @@ double FetchResult::mean_energy_savings() const noexcept {
   return total / static_cast<double>(outcomes.size());
 }
 
-power::Workload decompress_workload_from_calibration(
-    const Calibration& cal, const power::ChipSpec& spec) {
-  const CodecProfile profile = codec_profile(cal.codec);
-  // Same throughput normalization as the compression side (see
-  // workload_from_calibration); decompression skips the prediction search
-  // so it is a touch less cpu-bound.
-  constexpr double kCodecSpeedNormalization = 0.25;
-  return power::compression_workload(
-      spec, cal.decompress_seconds * kCodecSpeedNormalization,
-      profile.cpu_fraction * 0.95, profile.activity);
-}
-
 Expected<FetchResult> run_fetch_experiment(const FetchConfig& config) {
   FetchConfig cfg = config;
   if (cfg.error_bounds.empty()) {
@@ -55,49 +41,24 @@ Expected<FetchResult> run_fetch_experiment(const FetchConfig& config) {
     if (!cal) {
       return cal.status();
     }
-    const double scale_up = static_cast<double>(cfg.total_bytes.bytes()) /
-                            static_cast<double>(cal->input_bytes.bytes());
-    Calibration full = *cal;
-    full.decompress_seconds = cal->decompress_seconds * scale_up;
-    full.input_bytes = cfg.total_bytes;
-
-    const Bytes compressed_bytes{static_cast<std::uint64_t>(
-        static_cast<double>(cfg.total_bytes.bytes()) /
-        cal->compression_ratio)};
-    Bytes wire_bytes = compressed_bytes;
-    if (cfg.frame_chunk_bytes > 0) {
-      wire_bytes =
-          Bytes{compressed_bytes.bytes() +
-                compress::frame_overhead_bytes(
-                    static_cast<std::size_t>(compressed_bytes.bytes()),
-                    cfg.frame_chunk_bytes)};
-    }
-    const auto read_workload =
-        io::transit_workload(spec, wire_bytes, cfg.transit);
-    const auto decompress_workload =
-        decompress_workload_from_calibration(full, spec);
+    const Calibration full = scale_to_volume(*cal, cfg.total_bytes);
+    const DumpBytes bytes = dump_bytes(full, cfg.frame_chunk_bytes);
 
     // Two-stage plan: read at the transit fraction, decompress at the
     // compression fraction (both stages of Eqn 3, applied to the inverse
     // pipeline).
-    tuning::PlanComparison cmp;
-    cmp.base.stages = {{"read", read_workload, spec.f_max},
-                       {"decompress", decompress_workload, spec.f_max}};
-    cmp.tuned.stages = {
-        {"read", read_workload, cfg.rule.transit_frequency(spec.f_max)},
-        {"decompress", decompress_workload,
-         cfg.rule.compression_frequency(spec.f_max)}};
-    cmp.energy_base = cmp.base.total_energy(spec);
-    cmp.energy_tuned = cmp.tuned.total_energy(spec);
-    cmp.runtime_base = cmp.base.total_runtime(spec);
-    cmp.runtime_tuned = cmp.tuned.total_runtime(spec);
-
     FetchOutcome outcome;
     outcome.error_bound = eb;
     outcome.compression_ratio = cal->compression_ratio;
-    outcome.compressed_bytes = compressed_bytes;
-    outcome.framed_bytes = wire_bytes;
-    outcome.plan = std::move(cmp);
+    outcome.compressed_bytes = bytes.compressed;
+    outcome.framed_bytes = bytes.wire;
+    outcome.plan = tuning::compare(
+        spec,
+        {{"read", io::transit_workload(spec, bytes.wire, cfg.transit),
+          tuning::StageRole::kTransit},
+         {"decompress", decompress_workload_from_calibration(full, spec),
+          tuning::StageRole::kCompute}},
+        {cfg.rule});
     result.outcomes.push_back(std::move(outcome));
   }
   return result;

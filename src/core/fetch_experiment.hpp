@@ -10,7 +10,7 @@
 
 #include "core/compression_study.hpp"
 #include "io/transit_model.hpp"
-#include "tuning/io_plan.hpp"
+#include "tuning/plan.hpp"
 #include "tuning/rule.hpp"
 
 namespace lcp::core {
@@ -49,10 +49,5 @@ struct FetchResult {
 
 [[nodiscard]] Expected<FetchResult> run_fetch_experiment(
     const FetchConfig& config);
-
-/// Decompression workload for a calibrated cell on a chip (decompression
-/// is lighter and slightly less cpu-bound than compression).
-[[nodiscard]] power::Workload decompress_workload_from_calibration(
-    const Calibration& cal, const power::ChipSpec& spec);
 
 }  // namespace lcp::core

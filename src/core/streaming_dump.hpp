@@ -32,8 +32,9 @@
 // count and payload CRC are only known once the last slab is sealed.
 //
 // Modeled-time accounting for the overlap (what the tuning layer prices)
-// lives in tuning::plan_overlapped_dump; the measured per-slab timings
-// this engine reports feed the scaling bench's makespan model.
+// lives in tuning::plan (RuleClocks with a pipeline depth); the measured
+// per-slab timings this engine reports feed the scaling bench's makespan
+// model.
 
 #include <string>
 #include <vector>

@@ -2,30 +2,39 @@
 
 #include <cmath>
 
+#include "tuning/plan.hpp"
+
 namespace lcp::tuning {
 
 CodecDecision compress_or_raw(const power::ChipSpec& spec,
                               const CodecCostProfile& codec, Bytes dump_bytes,
                               const io::TransitModelConfig& transit,
                               const TuningRule& rule) {
-  const GigaHertz f_write = rule.transit_frequency(spec.f_max);
-  const GigaHertz f_comp = rule.compression_frequency(spec.f_max);
-
-  CodecDecision decision;
-  const auto raw_write = io::transit_workload(spec, dump_bytes, transit);
-  decision.energy_raw = power::workload_energy(raw_write, spec, f_write);
-
   const double native_seconds =
       dump_bytes.gb() / codec.gigabytes_per_second;
-  const auto compress = power::compression_workload(
-      spec, Seconds{native_seconds}, codec.cpu_fraction, codec.activity);
   const auto shipped = Bytes{static_cast<std::uint64_t>(
       static_cast<double>(dump_bytes.bytes()) * codec.ratio)};
-  const auto compressed_write = io::transit_workload(spec, shipped, transit);
-  decision.energy_compressed =
-      power::workload_energy(compress, spec, f_comp) +
-      power::workload_energy(compressed_write, spec, f_write);
+  const RuleClocks clocks{rule};
+  const Plan raw =
+      plan(spec,
+           {{"write", io::transit_workload(spec, dump_bytes, transit),
+             StageRole::kTransit}},
+           clocks)
+          .value();
+  const Plan compressed =
+      plan(spec,
+           {{"compress",
+             power::compression_workload(spec, Seconds{native_seconds},
+                                         codec.cpu_fraction, codec.activity),
+             StageRole::kCompute},
+            {"write", io::transit_workload(spec, shipped, transit),
+             StageRole::kTransit}},
+           clocks)
+          .value();
 
+  CodecDecision decision;
+  decision.energy_raw = raw.energy;
+  decision.energy_compressed = compressed.energy;
   decision.compress = decision.energy_compressed < decision.energy_raw;
   return decision;
 }

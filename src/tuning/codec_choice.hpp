@@ -50,7 +50,8 @@ struct CodecDecision {
 };
 
 /// Prices shipping `dump_bytes` raw versus compress-then-ship on `spec`
-/// through `transit`, each stage at its Eqn 3 frequency.
+/// through `transit`: two plans under RuleClocks{rule}, each stage at its
+/// Eqn 3 frequency.
 [[nodiscard]] CodecDecision compress_or_raw(
     const power::ChipSpec& spec, const CodecCostProfile& codec,
     Bytes dump_bytes, const io::TransitModelConfig& transit,

@@ -5,119 +5,11 @@
 
 namespace lcp::tuning {
 
-Seconds IoPlan::total_runtime(const power::ChipSpec& spec) const {
-  Seconds total{0.0};
-  for (const auto& stage : stages) {
-    total = total + power::workload_runtime(stage.workload, spec, stage.frequency);
-  }
-  return total;
-}
-
-Joules IoPlan::total_energy(const power::ChipSpec& spec) const {
-  Joules total{0.0};
-  for (const auto& stage : stages) {
-    total = total + power::workload_energy(stage.workload, spec, stage.frequency);
-  }
-  return total;
-}
-
-Seconds IoPlan::transition_time(const power::ChipSpec& spec) const {
-  std::size_t switches = 0;
-  for (std::size_t i = 1; i < stages.size(); ++i) {
-    if (stages[i].frequency != stages[i - 1].frequency) {
-      ++switches;
-    }
-  }
-  return spec.dvfs_transition_latency * static_cast<double>(switches);
-}
-
-Joules IoPlan::transition_energy(const power::ChipSpec& spec) const {
-  return spec.static_power * transition_time(spec);
-}
-
-PlanComparison plan_compressed_dump(const power::ChipSpec& spec,
-                                    const power::Workload& compress_workload,
-                                    const power::Workload& write_workload,
-                                    const TuningRule& rule) {
-  PlanComparison cmp;
-  cmp.base.stages = {
-      {"compress", compress_workload, spec.f_max},
-      {"write", write_workload, spec.f_max},
-  };
-  cmp.tuned.stages = {
-      {"compress", compress_workload, rule.compression_frequency(spec.f_max)},
-      {"write", write_workload, rule.transit_frequency(spec.f_max)},
-  };
-  cmp.energy_base = cmp.base.total_energy(spec);
-  cmp.energy_tuned = cmp.tuned.total_energy(spec);
-  cmp.runtime_base = cmp.base.total_runtime(spec);
-  cmp.runtime_tuned = cmp.tuned.total_runtime(spec);
-  return cmp;
-}
-
-DegradedDumpPlan plan_compressed_dump_under_faults(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& clean_write_workload,
-    const power::Workload& degraded_write_workload, const TuningRule& rule) {
-  DegradedDumpPlan plan;
-  plan.clean =
-      plan_compressed_dump(spec, compress_workload, clean_write_workload, rule);
-  plan.degraded = plan_compressed_dump(spec, compress_workload,
-                                       degraded_write_workload, rule);
-  return plan;
-}
-
-OverlapOutcome overlapped_dump_outcome(const power::ChipSpec& spec,
-                                       const power::Workload& compress_workload,
-                                       const power::Workload& write_workload,
-                                       GigaHertz frequency,
-                                       std::size_t pipeline_depth) {
-  const double depth =
-      static_cast<double>(std::max<std::size_t>(1, pipeline_depth));
-  const double tc =
-      power::workload_runtime(compress_workload, spec, frequency).seconds();
-  const double tt =
-      power::workload_runtime(write_workload, spec, frequency).seconds();
-
-  OverlapOutcome o;
-  o.frequency = frequency;
-  o.pipeline_depth = std::max<std::size_t>(1, pipeline_depth);
-  o.serial_runtime = Seconds{tc + tt};
-  o.runtime = Seconds{std::max(tc, tt) + std::min(tc, tt) / depth};
-  o.serial_energy =
-      power::workload_energy(compress_workload, spec, frequency) +
-      power::workload_energy(write_workload, spec, frequency);
-  o.energy = Joules{o.serial_energy.joules() -
-                    spec.static_power.watts() * o.overlap_saved().seconds()};
-  return o;
-}
-
-OverlapPlan plan_overlapped_dump(const power::ChipSpec& spec,
-                                 const power::Workload& compress_workload,
-                                 const power::Workload& write_workload,
-                                 const TuningRule& rule,
-                                 std::size_t pipeline_depth) {
-  OverlapPlan plan;
-  plan.pipeline_depth = std::max<std::size_t>(1, pipeline_depth);
-  plan.serial =
-      plan_compressed_dump(spec, compress_workload, write_workload, rule);
-  plan.base = overlapped_dump_outcome(spec, compress_workload, write_workload,
-                                      spec.f_max, plan.pipeline_depth);
-  const OverlapOutcome at_fc = overlapped_dump_outcome(
-      spec, compress_workload, write_workload,
-      rule.compression_frequency(spec.f_max), plan.pipeline_depth);
-  const OverlapOutcome at_ft = overlapped_dump_outcome(
-      spec, compress_workload, write_workload,
-      rule.transit_frequency(spec.f_max), plan.pipeline_depth);
-  plan.tuned = at_fc.energy.joules() <= at_ft.energy.joules() ? at_fc : at_ft;
-  return plan;
-}
-
 power::Workload scale_workload(const power::Workload& w,
                                double factor) noexcept {
   if (factor == 1.0) {
     // Exact identity, not a multiply-by-one: the d = 1 incremental plan
-    // must reproduce plan_compressed_dump bit-for-bit.
+    // must reproduce the full two-stage dump bit-for-bit.
     return w;
   }
   power::Workload scaled = w;
@@ -148,45 +40,26 @@ bool is_zero_workload(const power::Workload& w) noexcept {
 
 }  // namespace
 
-IncrementalDumpPlan plan_incremental_dump(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& write_workload, const TuningRule& rule,
-    const IncrementalDumpSpec& inc) {
-  IncrementalDumpPlan plan;
-  plan.spec = inc;
-  plan.full_dump =
-      plan_compressed_dump(spec, compress_workload, write_workload, rule);
-
+std::vector<Stage> incremental_dump_stages(
+    const power::Workload& compress_workload,
+    const power::Workload& write_workload, const IncrementalDumpSpec& inc) {
   const double d = std::clamp(inc.dirty_fraction, 0.0, 1.0);
   const double r = static_cast<double>(std::max<std::size_t>(1, inc.replicas));
-  const power::Workload inc_compress = scale_workload(compress_workload, d);
-  const power::Workload inc_write = scale_workload(write_workload, d * r);
-  // Overhead stages are appended only when non-zero, so the degenerate
-  // spec contributes exactly the two stages plan_compressed_dump builds.
-  const GigaHertz fc = rule.compression_frequency(spec.f_max);
-  const GigaHertz ft = rule.transit_frequency(spec.f_max);
-
-  PlanComparison& cmp = plan.plan;
+  std::vector<Stage> stages;
   if (!is_zero_workload(inc.hash_workload)) {
     // Dirty detection hashes every raw slab, dirty or not: the cost of
     // knowing d is paid on the whole field, every generation.
-    cmp.base.stages.push_back({"hash", inc.hash_workload, spec.f_max});
-    cmp.tuned.stages.push_back({"hash", inc.hash_workload, fc});
+    stages.push_back({"hash", inc.hash_workload, StageRole::kCompute});
   }
-  cmp.base.stages.push_back({"compress", inc_compress, spec.f_max});
-  cmp.base.stages.push_back({"write", inc_write, spec.f_max});
-  cmp.tuned.stages.push_back({"compress", inc_compress, fc});
-  cmp.tuned.stages.push_back({"write", inc_write, ft});
+  stages.push_back(
+      {"compress", scale_workload(compress_workload, d), StageRole::kCompute});
+  stages.push_back(
+      {"write", scale_workload(write_workload, d * r), StageRole::kTransit});
   if (!is_zero_workload(inc.journal_workload)) {
-    const power::Workload journal = scale_workload(inc.journal_workload, r);
-    cmp.base.stages.push_back({"journal", journal, spec.f_max});
-    cmp.tuned.stages.push_back({"journal", journal, ft});
+    stages.push_back({"journal", scale_workload(inc.journal_workload, r),
+                      StageRole::kTransit});
   }
-  cmp.energy_base = cmp.base.total_energy(spec);
-  cmp.energy_tuned = cmp.tuned.total_energy(spec);
-  cmp.runtime_base = cmp.base.total_runtime(spec);
-  cmp.runtime_tuned = cmp.tuned.total_runtime(spec);
-  return plan;
+  return stages;
 }
 
 double frame_survival_fraction(std::size_t chunk_bytes, double byte_loss_rate,

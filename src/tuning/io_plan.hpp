@@ -1,153 +1,15 @@
 #pragma once
-// Piecewise I/O plan: the paper's two-stage view of a data dump
-// (compress at 0.875 f_max, then write at 0.85 f_max), generalized to any
-// list of (workload, frequency) stages. Produces per-stage and total
-// energy/runtime for a baseline clock vs the tuned plan.
+// Stage lists and trade-offs the planner (tuning/plan.hpp) prices: the
+// incremental dump's d * R reweighting of the two-stage dump, and the
+// resilient-framing chunk size.
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
-#include "power/chip_model.hpp"
 #include "power/workload.hpp"
-#include "tuning/optimizer.hpp"
-#include "tuning/rule.hpp"
+#include "tuning/plan.hpp"
 
 namespace lcp::tuning {
-
-/// One stage of an I/O pipeline.
-struct IoStage {
-  std::string name;          ///< "compress", "write"
-  power::Workload workload;
-  GigaHertz frequency;       ///< frequency the plan runs this stage at
-};
-
-/// A fully-specified plan.
-struct IoPlan {
-  std::vector<IoStage> stages;
-
-  [[nodiscard]] Seconds total_runtime(const power::ChipSpec& spec) const;
-  [[nodiscard]] Joules total_energy(const power::ChipSpec& spec) const;
-
-  /// Overhead of the frequency switches between consecutive stages that
-  /// run at different clocks (the cost Eqn 3's piecewise plan implicitly
-  /// assumes away — and which is indeed negligible; see the tests). The
-  /// core stalls at static power during each transition.
-  [[nodiscard]] Seconds transition_time(const power::ChipSpec& spec) const;
-  [[nodiscard]] Joules transition_energy(const power::ChipSpec& spec) const;
-};
-
-/// Comparison of a tuned plan against the same stages at a base clock.
-struct PlanComparison {
-  IoPlan base;
-  IoPlan tuned;
-  Joules energy_base;
-  Joules energy_tuned;
-  Seconds runtime_base;
-  Seconds runtime_tuned;
-
-  [[nodiscard]] double energy_savings() const noexcept {
-    return 1.0 - energy_tuned / energy_base;
-  }
-  [[nodiscard]] double runtime_increase() const noexcept {
-    return runtime_tuned / runtime_base - 1.0;
-  }
-  [[nodiscard]] Joules energy_saved() const noexcept {
-    return energy_base - energy_tuned;
-  }
-};
-
-/// Builds the two-stage compressed-dump plan under `rule` and compares it
-/// against running both stages at the chip's max clock.
-[[nodiscard]] PlanComparison plan_compressed_dump(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& write_workload, const TuningRule& rule);
-
-/// The same tuned dump evaluated on a clean and on a faulty link: the
-/// write stage is swapped for its retry-degraded workload (see
-/// io::transit_workload's TransitRetryProfile overload). Quantifies how
-/// much package energy the retries/backoff burn and whether the paper's
-/// tuning rule still pays off once the link is lossy.
-struct DegradedDumpPlan {
-  PlanComparison clean;
-  PlanComparison degraded;
-
-  /// Extra energy the faults cost the tuned plan.
-  [[nodiscard]] Joules fault_energy_overhead() const noexcept {
-    return degraded.energy_tuned - clean.energy_tuned;
-  }
-  [[nodiscard]] Seconds fault_runtime_overhead() const noexcept {
-    return degraded.runtime_tuned - clean.runtime_tuned;
-  }
-};
-
-[[nodiscard]] DegradedDumpPlan plan_compressed_dump_under_faults(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& clean_write_workload,
-    const power::Workload& degraded_write_workload, const TuningRule& rule);
-
-// --- Overlapped (streaming) dump -------------------------------------------
-//
-// The serial two-stage plan compresses everything, then writes everything:
-// t = tc + tt. The streaming dump engine (core/streaming_dump.hpp)
-// pipelines the stages over S slabs — slab i's framed bytes are on the
-// wire while slab i+1 is still compressing — so the makespan contracts to
-//
-//   t_overlap = max(tc, tt) + min(tc, tt) / S
-//
-// (the min/S term is the exposed pipeline fill/drain: the wire idles while
-// the first slab compresses, and the last slab's write has nothing left to
-// hide behind). Energy credits the overlap through the static-power term
-// only: each stage's dynamic work is unchanged, but the package is powered
-// for time_saved fewer seconds:
-//
-//   E_overlap = Ec + Et - P_static * (tc + tt - t_overlap).
-//
-// Depth 1 degenerates to the serial plan exactly (no overlap credited) —
-// the identity the dump experiment asserts when streaming is off.
-
-/// The overlapped pipeline evaluated at one clock and depth.
-struct OverlapOutcome {
-  GigaHertz frequency;
-  std::size_t pipeline_depth = 1;
-  Seconds runtime{0.0};         ///< overlapped makespan
-  Seconds serial_runtime{0.0};  ///< tc + tt at the same clock
-  Joules energy{0.0};
-  Joules serial_energy{0.0};    ///< Ec + Et at the same clock
-
-  /// Runtime the overlap hides relative to the serial schedule.
-  [[nodiscard]] Seconds overlap_saved() const noexcept {
-    return serial_runtime - runtime;
-  }
-};
-
-[[nodiscard]] OverlapOutcome overlapped_dump_outcome(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& write_workload, GigaHertz frequency,
-    std::size_t pipeline_depth);
-
-/// Streaming counterpart of plan_compressed_dump. The fused pipeline runs
-/// one clock (both stages are live at once, and a core has one frequency),
-/// so `tuned` picks whichever of the rule's two stage frequencies costs
-/// less energy at this depth; `base` is the pipeline at f_max. `serial`
-/// carries the classic two-stage comparison for reference.
-struct OverlapPlan {
-  std::size_t pipeline_depth = 1;
-  OverlapOutcome base;    ///< overlapped at f_max
-  OverlapOutcome tuned;   ///< overlapped at the chosen rule frequency
-  PlanComparison serial;  ///< the non-streaming plan, same workloads
-
-  [[nodiscard]] Joules energy_saved() const noexcept {
-    return base.energy - tuned.energy;
-  }
-  [[nodiscard]] double energy_savings() const noexcept {
-    return 1.0 - tuned.energy / base.energy;
-  }
-};
-
-[[nodiscard]] OverlapPlan plan_overlapped_dump(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& write_workload, const TuningRule& rule,
-    std::size_t pipeline_depth);
 
 // --- Incremental (delta) dump ----------------------------------------------
 //
@@ -161,9 +23,9 @@ struct OverlapPlan {
 // where d is the fraction of slabs dirty this generation. Scaling a
 // workload by k scales both its CPU term and its pipeline floor, so
 // max(k*t_cpu, k*floor) = k * max(t_cpu, floor): runtime and energy scale
-// exactly linearly and d = 1, R = 1 degenerates to plan_compressed_dump
-// bit-for-bit (the hash/journal overhead terms default to zero workloads,
-// which contribute no stage at all).
+// exactly linearly and d = 1, R = 1 degenerates to the full two-stage
+// dump bit-for-bit (the hash/journal overhead terms default to zero
+// workloads, which contribute no stage at all).
 
 /// Returns `w` with its CPU work, stall and pipeline-floor terms scaled by
 /// `factor` (the activity factor is a ratio and does not scale). A factor
@@ -196,30 +58,14 @@ struct IncrementalDumpSpec {
   power::Workload journal_workload;
 };
 
-/// The incremental dump priced against the full dump it replaces.
-struct IncrementalDumpPlan {
-  IncrementalDumpSpec spec;
-  /// The incremental dump: hash + d-scaled compress + d*R-scaled write +
-  /// R-scaled journal, base clock vs tuned rule.
-  PlanComparison plan;
-  /// Reference full dump (d = 1, R = 1, no overhead terms).
-  PlanComparison full_dump;
-
-  /// Tuned-plan energy the delta dump saves over a full dump.
-  [[nodiscard]] Joules energy_saved_vs_full() const noexcept {
-    return full_dump.energy_tuned - plan.energy_tuned;
-  }
-};
-
-/// Builds the incremental-dump plan. `compress_workload` and
-/// `write_workload` describe the FULL field (they are scaled internally).
-/// With spec.dirty_fraction = 1, spec.replicas = 1 and zero overhead
-/// workloads, `plan` equals plan_compressed_dump on the same inputs
-/// bit-for-bit.
-[[nodiscard]] IncrementalDumpPlan plan_incremental_dump(
-    const power::ChipSpec& spec, const power::Workload& compress_workload,
-    const power::Workload& write_workload, const TuningRule& rule,
-    const IncrementalDumpSpec& inc);
+/// The stages of one incremental dump generation: hash (compute, on the
+/// whole field), d-scaled compress (compute), d*R-scaled write (transit)
+/// and R-scaled journal (transit). `compress_workload` and
+/// `write_workload` describe the FULL field. Zero overhead workloads add
+/// no stage, so d = 1, R = 1 returns exactly {compress, write}.
+[[nodiscard]] std::vector<Stage> incremental_dump_stages(
+    const power::Workload& compress_workload,
+    const power::Workload& write_workload, const IncrementalDumpSpec& inc);
 
 // --- Resilient-framing chunk-size trade-off --------------------------------
 //

@@ -1,24 +1,6 @@
 #include "tuning/optimizer.hpp"
 
 namespace lcp::tuning {
-namespace {
-
-template <typename Metric>
-GigaHertz argmin_over_grid(const power::ChipSpec& spec, Metric metric) {
-  const dvfs::FrequencyRange range{spec.f_min, spec.f_max, spec.f_step};
-  GigaHertz best = spec.f_max;
-  double best_value = metric(spec.f_max);
-  for (GigaHertz f : range.steps()) {
-    const double v = metric(f);
-    if (v < best_value) {
-      best_value = v;
-      best = f;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 SavingsReport evaluate_tuning(const power::ChipSpec& spec,
                               const power::Workload& workload,
@@ -33,27 +15,6 @@ SavingsReport evaluate_tuning(const power::ChipSpec& spec,
   r.energy_base = power::workload_energy(workload, spec, f_base);
   r.energy_tuned = power::workload_energy(workload, spec, f_tuned);
   return r;
-}
-
-GigaHertz energy_optimal_frequency(const power::ChipSpec& spec,
-                                   const power::Workload& workload) {
-  return argmin_over_grid(spec, [&](GigaHertz f) {
-    return power::workload_energy(workload, spec, f).joules();
-  });
-}
-
-GigaHertz power_optimal_frequency(const power::ChipSpec& spec,
-                                  const power::Workload& workload) {
-  return argmin_over_grid(spec, [&](GigaHertz f) {
-    return power::workload_power(workload, spec, f).watts();
-  });
-}
-
-GigaHertz runtime_optimal_frequency(const power::ChipSpec& spec,
-                                    const power::Workload& workload) {
-  return argmin_over_grid(spec, [&](GigaHertz f) {
-    return power::workload_runtime(workload, spec, f).seconds();
-  });
 }
 
 }  // namespace lcp::tuning

@@ -1,10 +1,10 @@
 #pragma once
 // Tuning evaluation: given a workload on a chip, quantify what a frequency
 // change does to power, runtime and energy — the numbers behind the
-// paper's 19.4%/11.2%/14.3% headline claims — and search the DVFS grid for
-// the true energy-optimal point (the ablation of Eqn 3's fixed fractions).
+// paper's 19.4%/11.2%/14.3% headline claims. The DVFS grid searches (the
+// energy-optimal point, the fastest point under a power cap) are
+// objectives of tuning::plan.
 
-#include "dvfs/frequency_range.hpp"
 #include "power/chip_model.hpp"
 #include "power/workload.hpp"
 #include "support/units.hpp"
@@ -41,18 +41,5 @@ struct SavingsReport {
                                             const power::Workload& workload,
                                             GigaHertz f_base,
                                             GigaHertz f_tuned);
-
-/// DVFS grid point minimizing modeled energy for this workload.
-[[nodiscard]] GigaHertz energy_optimal_frequency(const power::ChipSpec& spec,
-                                                 const power::Workload& workload);
-
-/// DVFS grid point minimizing modeled average power (always f_min for
-/// monotone chips; exposed to make that explicit, per Section V-A.1).
-[[nodiscard]] GigaHertz power_optimal_frequency(const power::ChipSpec& spec,
-                                                const power::Workload& workload);
-
-/// DVFS grid point minimizing runtime (always f_max; Section V-A.2).
-[[nodiscard]] GigaHertz runtime_optimal_frequency(const power::ChipSpec& spec,
-                                                  const power::Workload& workload);
 
 }  // namespace lcp::tuning

@@ -57,8 +57,8 @@ TEST(FetchExperimentTest, FetchIsCheaperThanDump) {
   const auto dump = run_dump_experiment(dump_cfg);
   ASSERT_TRUE(dump.has_value());
 
-  EXPECT_LT(fetch->outcomes[0].plan.energy_base.joules(),
-            dump->outcomes[0].plan.energy_base.joules());
+  EXPECT_LT(fetch->outcomes[0].plan.base.energy.joules(),
+            dump->outcomes[0].plan.base.energy.joules());
 }
 
 TEST(FetchExperimentTest, RejectsZeroVolume) {

@@ -11,6 +11,7 @@
 #include "core/validation_study.hpp"
 #include "data/registry.hpp"
 #include "io/nfs_client.hpp"
+#include "tuning/optimizer.hpp"
 #include "tuning/rule.hpp"
 
 namespace lcp {

@@ -11,6 +11,7 @@
 #include "core/sweep.hpp"
 #include "io/transit_model.hpp"
 #include "tuning/optimizer.hpp"
+#include "tuning/plan.hpp"
 
 namespace lcp::core {
 namespace {
@@ -108,8 +109,14 @@ TEST_P(PlatformPropertyTest, Eqn3NeverIncreasesPower) {
 TEST_P(PlatformPropertyTest, EnergyOptimalFrequencyIsStable) {
   // Re-running the search yields the same point (pure function of model).
   const auto w = workload();
-  const auto a = tuning::energy_optimal_frequency(spec(), w);
-  const auto b = tuning::energy_optimal_frequency(spec(), w);
+  const auto energy_optimum = [&] {
+    return tuning::plan(spec(), {{"w", w}}, tuning::MinEnergy{})
+        .value()
+        .stages[0]
+        .frequency;
+  };
+  const auto a = energy_optimum();
+  const auto b = energy_optimum();
   EXPECT_DOUBLE_EQ(a.ghz(), b.ghz());
   EXPECT_GE(a.ghz(), spec().f_min.ghz());
   EXPECT_LE(a.ghz(), spec().f_max.ghz());

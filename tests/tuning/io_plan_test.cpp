@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "io/transit_model.hpp"
+#include "tuning/plan.hpp"
 
 namespace lcp::tuning {
 namespace {
@@ -19,12 +20,35 @@ power::Workload write_w() {
   return io::transit_workload(bdw(), Bytes::from_gb(4), {});
 }
 
+std::vector<Stage> dump_stages() {
+  return {{"compress", compress_w(), StageRole::kCompute},
+          {"write", write_w(), StageRole::kTransit}};
+}
+
+PlanComparison dump_plan(const TuningRule& rule) {
+  return compare(bdw(), dump_stages(), {rule});
+}
+
+/// An incremental dump priced against the full dump it replaces.
+struct IncrementalPlan {
+  PlanComparison plan;
+  PlanComparison full_dump;
+
+  [[nodiscard]] Joules energy_saved_vs_full() const {
+    return full_dump.tuned.energy - plan.tuned.energy;
+  }
+};
+
+IncrementalPlan incremental_plan(const IncrementalDumpSpec& inc) {
+  return {compare(bdw(), incremental_dump_stages(compress_w(), write_w(), inc),
+                  {paper_rule()}),
+          dump_plan(paper_rule())};
+}
+
 TEST(IoPlanTest, TotalsAreSumsOverStages) {
-  IoPlan plan;
-  plan.stages = {{"compress", compress_w(), bdw().f_max},
-                 {"write", write_w(), bdw().f_max}};
-  const double t = plan.total_runtime(bdw()).seconds();
-  const double e = plan.total_energy(bdw()).joules();
+  const Plan p = plan(bdw(), dump_stages(), MaxClock{}).value();
+  const double t = p.runtime.seconds();
+  const double e = p.energy.joules();
   const double t_expected =
       power::workload_runtime(compress_w(), bdw(), bdw().f_max).seconds() +
       power::workload_runtime(write_w(), bdw(), bdw().f_max).seconds();
@@ -33,14 +57,14 @@ TEST(IoPlanTest, TotalsAreSumsOverStages) {
 }
 
 TEST(IoPlanTest, EmptyPlanIsZero) {
-  IoPlan plan;
-  EXPECT_DOUBLE_EQ(plan.total_runtime(bdw()).seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(plan.total_energy(bdw()).joules(), 0.0);
+  const Plan p = plan(bdw(), {}, MaxClock{}).value();
+  EXPECT_DOUBLE_EQ(p.runtime.seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(p.energy.joules(), 0.0);
 }
 
 TEST(PlanComparisonTest, TunedDumpSavesEnergy) {
   const auto cmp =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), paper_rule());
+      dump_plan(paper_rule());
   EXPECT_GT(cmp.energy_savings(), 0.0);
   EXPECT_LT(cmp.energy_savings(), 0.35);
   EXPECT_GT(cmp.runtime_increase(), 0.0);
@@ -50,7 +74,7 @@ TEST(PlanComparisonTest, TunedDumpSavesEnergy) {
 
 TEST(PlanComparisonTest, BaseStagesRunAtMaxClock) {
   const auto cmp =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), paper_rule());
+      dump_plan(paper_rule());
   ASSERT_EQ(cmp.base.stages.size(), 2u);
   EXPECT_DOUBLE_EQ(cmp.base.stages[0].frequency.ghz(), bdw().f_max.ghz());
   EXPECT_DOUBLE_EQ(cmp.base.stages[1].frequency.ghz(), bdw().f_max.ghz());
@@ -58,7 +82,7 @@ TEST(PlanComparisonTest, BaseStagesRunAtMaxClock) {
 
 TEST(PlanComparisonTest, TunedStagesFollowEqnThree) {
   const auto cmp =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), paper_rule());
+      dump_plan(paper_rule());
   ASSERT_EQ(cmp.tuned.stages.size(), 2u);
   EXPECT_NEAR(cmp.tuned.stages[0].frequency.ghz(), 0.875 * 2.0, 1e-9);
   EXPECT_NEAR(cmp.tuned.stages[1].frequency.ghz(), 0.85 * 2.0, 1e-9);
@@ -69,25 +93,28 @@ TEST(PlanComparisonTest, TunedStagesFollowEqnThree) {
 TEST(PlanComparisonTest, IdentityRuleIsNeutral) {
   const TuningRule identity{1.0, 1.0};
   const auto cmp =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), identity);
+      dump_plan(identity);
   EXPECT_NEAR(cmp.energy_savings(), 0.0, 1e-12);
   EXPECT_NEAR(cmp.runtime_increase(), 0.0, 1e-12);
 }
 
 TEST(IoPlanTest, TransitionOverheadCountsOnlyFrequencyChanges) {
-  IoPlan plan;
-  plan.stages = {{"a", compress_w(), GigaHertz{1.75}},
-                 {"b", write_w(), GigaHertz{1.70}},
-                 {"c", write_w(), GigaHertz{1.70}},   // no switch
-                 {"d", compress_w(), GigaHertz{1.75}}};
-  EXPECT_NEAR(plan.transition_time(bdw()).seconds(),
+  // Eqn 3 on Broadwell: compute at 1.75 GHz, transit at 1.70 GHz.
+  const Plan p = plan(bdw(),
+                      {{"a", compress_w(), StageRole::kCompute},
+                       {"b", write_w(), StageRole::kTransit},
+                       {"c", write_w(), StageRole::kTransit},  // no switch
+                       {"d", compress_w(), StageRole::kCompute}},
+                      RuleClocks{paper_rule()})
+                     .value();
+  EXPECT_NEAR(p.transition_time(bdw()).seconds(),
               2.0 * bdw().dvfs_transition_latency.seconds(), 1e-12);
-  EXPECT_GT(plan.transition_energy(bdw()).joules(), 0.0);
+  EXPECT_GT(p.transition_energy(bdw()).joules(), 0.0);
 }
 
 TEST(IoPlanTest, BaseClockPlanHasNoTransitions) {
   const auto cmp =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), paper_rule());
+      dump_plan(paper_rule());
   EXPECT_DOUBLE_EQ(cmp.base.transition_time(bdw()).seconds(), 0.0);
 }
 
@@ -95,13 +122,13 @@ TEST(IoPlanTest, TransitionOverheadIsNegligibleForEqn3Plans) {
   // Validates the paper's implicit assumption: the per-stage frequency
   // switch (tens of microseconds) is noise next to seconds-scale stages.
   const auto cmp =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), paper_rule());
+      dump_plan(paper_rule());
   const double overhead_j = cmp.tuned.transition_energy(bdw()).joules();
-  const double plan_j = cmp.energy_tuned.joules();
+  const double plan_j = cmp.tuned.energy.joules();
   EXPECT_GT(overhead_j, 0.0);
   EXPECT_LT(overhead_j / plan_j, 1e-5);
   EXPECT_LT(cmp.tuned.transition_time(bdw()).seconds() /
-                cmp.runtime_tuned.seconds(),
+                cmp.tuned.runtime.seconds(),
             1e-5);
 }
 
@@ -109,7 +136,7 @@ TEST(ScaleWorkloadTest, FactorOneIsTheExactIdentity) {
   const auto w = compress_w();
   const auto scaled = scale_workload(w, 1.0);
   // Bit-for-bit, not merely close: the incremental plan's degeneracy to
-  // plan_compressed_dump depends on it.
+  // the full two-stage dump depends on it.
   EXPECT_EQ(scaled.cpu_ghz_seconds, w.cpu_ghz_seconds);
   EXPECT_EQ(scaled.stall_seconds.seconds(), w.stall_seconds.seconds());
   EXPECT_EQ(scaled.floor_seconds.seconds(), w.floor_seconds.seconds());
@@ -147,13 +174,13 @@ TEST(DirtySlabFractionTest, ClampsAndDegenerates) {
 TEST(IncrementalPlanTest, DegeneratesToFullDumpBitForBit) {
   IncrementalDumpSpec inc;  // d = 1, R = 1, zero overhead workloads
   const auto plan =
-      plan_incremental_dump(bdw(), compress_w(), write_w(), paper_rule(), inc);
+      incremental_plan(inc);
   const auto full =
-      plan_compressed_dump(bdw(), compress_w(), write_w(), paper_rule());
-  EXPECT_EQ(plan.plan.energy_tuned.joules(), full.energy_tuned.joules());
-  EXPECT_EQ(plan.plan.energy_base.joules(), full.energy_base.joules());
-  EXPECT_EQ(plan.plan.runtime_tuned.seconds(), full.runtime_tuned.seconds());
-  EXPECT_EQ(plan.plan.runtime_base.seconds(), full.runtime_base.seconds());
+      dump_plan(paper_rule());
+  EXPECT_EQ(plan.plan.tuned.energy.joules(), full.tuned.energy.joules());
+  EXPECT_EQ(plan.plan.base.energy.joules(), full.base.energy.joules());
+  EXPECT_EQ(plan.plan.tuned.runtime.seconds(), full.tuned.runtime.seconds());
+  EXPECT_EQ(plan.plan.base.runtime.seconds(), full.base.runtime.seconds());
   EXPECT_DOUBLE_EQ(plan.energy_saved_vs_full().joules(), 0.0);
 }
 
@@ -162,10 +189,9 @@ TEST(IncrementalPlanTest, EnergyIsMonotoneInDirtyFraction) {
   for (const double d : {0.05, 0.25, 0.5, 0.75, 1.0}) {
     IncrementalDumpSpec inc;
     inc.dirty_fraction = d;
-    const auto plan = plan_incremental_dump(bdw(), compress_w(), write_w(),
-                                            paper_rule(), inc);
-    EXPECT_GT(plan.plan.energy_tuned.joules(), last) << d;
-    last = plan.plan.energy_tuned.joules();
+    const auto plan = incremental_plan(inc);
+    EXPECT_GT(plan.plan.tuned.energy.joules(), last) << d;
+    last = plan.plan.tuned.energy.joules();
   }
 }
 
@@ -174,26 +200,25 @@ TEST(IncrementalPlanTest, ReplicationScalesOnlyTheWriteSide) {
   IncrementalDumpSpec three;
   three.replicas = 3;
   const auto p1 =
-      plan_incremental_dump(bdw(), compress_w(), write_w(), paper_rule(), one);
-  const auto p3 = plan_incremental_dump(bdw(), compress_w(), write_w(),
-                                        paper_rule(), three);
-  EXPECT_GT(p3.plan.energy_tuned.joules(), p1.plan.energy_tuned.joules());
+      incremental_plan(one);
+  const auto p3 = incremental_plan(three);
+  EXPECT_GT(p3.plan.tuned.energy.joules(), p1.plan.tuned.energy.joules());
   // The full-dump reference does not depend on R.
-  EXPECT_EQ(p3.full_dump.energy_tuned.joules(),
-            p1.full_dump.energy_tuned.joules());
+  EXPECT_EQ(p3.full_dump.tuned.energy.joules(),
+            p1.full_dump.tuned.energy.joules());
 }
 
 TEST(IncrementalPlanTest, OverheadWorkloadsAddStages) {
   IncrementalDumpSpec inc;
   inc.dirty_fraction = 0.1;
   const auto lean =
-      plan_incremental_dump(bdw(), compress_w(), write_w(), paper_rule(), inc);
+      incremental_plan(inc);
   inc.hash_workload = power::compression_workload(bdw(), Seconds{1.0}, 0.5, 1.0);
   inc.journal_workload = io::transit_workload(bdw(), Bytes::from_mb(1), {});
   const auto full =
-      plan_incremental_dump(bdw(), compress_w(), write_w(), paper_rule(), inc);
+      incremental_plan(inc);
   EXPECT_EQ(full.plan.tuned.stages.size(), lean.plan.tuned.stages.size() + 2);
-  EXPECT_GT(full.plan.energy_tuned.joules(), lean.plan.energy_tuned.joules());
+  EXPECT_GT(full.plan.tuned.energy.joules(), lean.plan.tuned.energy.joules());
 }
 
 TEST(IncrementalPlanTest, SmallDeltaBeatsFullDump) {
@@ -202,7 +227,7 @@ TEST(IncrementalPlanTest, SmallDeltaBeatsFullDump) {
   inc.replicas = 2;
   inc.hash_workload = power::compression_workload(bdw(), Seconds{0.5}, 0.5, 1.0);
   const auto plan =
-      plan_incremental_dump(bdw(), compress_w(), write_w(), paper_rule(), inc);
+      incremental_plan(inc);
   EXPECT_GT(plan.energy_saved_vs_full().joules(), 0.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tuning/plan.hpp"
+
 namespace lcp::tuning {
 namespace {
 
@@ -13,6 +15,15 @@ const power::ChipSpec& bdw() {
 
 power::Workload compression_like() {
   return power::compression_workload(bdw(), Seconds{10.0}, 0.53, 1.0);
+}
+
+/// The clock plan() picks for `w` alone under `objective`.
+GigaHertz chosen(const power::Workload& w, const Objective& objective) {
+  return plan(bdw(), {{"w", w}}, objective).value().stages[0].frequency;
+}
+
+GigaHertz energy_optimum(const power::Workload& w) {
+  return chosen(w, MinEnergy{});
 }
 
 TEST(EvaluateTuningTest, EqnThreeNumbersForCompression) {
@@ -45,27 +56,31 @@ TEST(EvaluateTuningTest, ConsistentWithWorkloadModel) {
 }
 
 TEST(OptimalFrequencyTest, RuntimeOptimumIsMaxClock) {
-  EXPECT_DOUBLE_EQ(runtime_optimal_frequency(bdw(), compression_like()).ghz(),
-                   bdw().f_max.ghz());
+  // Only the max clock meets a deadline of the max clock's own runtime.
+  const auto w = compression_like();
+  const Seconds fastest = power::workload_runtime(w, bdw(), bdw().f_max);
+  EXPECT_DOUBLE_EQ(chosen(w, MinEnergy{fastest}).ghz(), bdw().f_max.ghz());
 }
 
 TEST(OptimalFrequencyTest, PowerOptimumIsMinClock) {
-  // Section V-A.1: pure power is minimized at the lowest frequency.
-  EXPECT_DOUBLE_EQ(power_optimal_frequency(bdw(), compression_like()).ghz(),
-                   bdw().f_min.ghz());
+  // Section V-A.1: pure power is minimized at the lowest frequency, so a
+  // cap at f_min's power is met there and nowhere faster.
+  const auto w = compression_like();
+  const Watts lowest = power::workload_power(w, bdw(), bdw().f_min);
+  EXPECT_DOUBLE_EQ(chosen(w, PowerCap{lowest}).ghz(), bdw().f_min.ghz());
 }
 
 TEST(OptimalFrequencyTest, EnergyOptimumIsInterior) {
   // The energy-optimal point sits strictly between the extremes for a
   // partially cpu-bound workload — the crux of the paper's trade-off.
-  const auto f = energy_optimal_frequency(bdw(), compression_like());
+  const auto f = energy_optimum(compression_like());
   EXPECT_GT(f.ghz(), bdw().f_min.ghz());
   EXPECT_LT(f.ghz(), bdw().f_max.ghz());
 }
 
 TEST(OptimalFrequencyTest, EnergyOptimumBeatsEveryGridNeighbor) {
   const auto w = compression_like();
-  const auto f_opt = energy_optimal_frequency(bdw(), w);
+  const auto f_opt = energy_optimum(w);
   const double e_opt = power::workload_energy(w, bdw(), f_opt).joules();
   for (double f = 0.8; f <= 2.0001; f += 0.05) {
     EXPECT_LE(e_opt,
@@ -81,7 +96,7 @@ TEST(OptimalFrequencyTest, FloorBoundWorkloadPrefersLowFrequency) {
   w.cpu_ghz_seconds = 0.5;
   w.floor_seconds = Seconds{10.0};
   w.activity = 0.5;
-  const auto f = energy_optimal_frequency(bdw(), w);
+  const auto f = energy_optimum(w);
   EXPECT_LT(f.ghz(), 1.3);
 }
 

@@ -66,6 +66,17 @@ TEST(DeriveFractionTest, FlatPowerCurveMeansNoReduction) {
   EXPECT_DOUBLE_EQ(derive_fraction(flat, GigaHertz{2.0}, 0.5), 1.0);
 }
 
+TEST(DeriveFractionTest, GridEndsExactlyAtMinFraction) {
+  // p = f^2 with a memory-bound stage (beta = 0): every step down saves
+  // power for free, so the best point is the last one on the grid.
+  model::PowerLawFit quadratic;
+  quadratic.a = 1.0;
+  quadratic.b = 2.0;
+  quadratic.c = 0.0;
+  EXPECT_EQ(derive_fraction(quadratic, GigaHertz{2.0}, 0.0), 0.5);
+  EXPECT_EQ(derive_fraction(quadratic, GigaHertz{2.0}, 0.0, 1.0, 0.7), 0.7);
+}
+
 TEST(DeriveRuleTest, ProducesFractionsNearEqnThree) {
   const auto rule = derive_rule(gradual_fit(), gradual_fit(), GigaHertz{2.0},
                                 0.53, 0.53);
