@@ -2,9 +2,9 @@
 // thread-pool dispatch, the fused SZ predict+quantize pass, canonical
 // Huffman encode/decode (whole field and checkpoint slabs), raw bitstream
 // write/read, the byte-shuffle and zlite lossless kernels, the CRC32C and
-// batched FNV-1a integrity hashes, ZFP embedded plane coding, and the
+// batched FNV-1a integrity hashes, ZFP embedded plane coding, the
 // streaming dump engine (the pooled slab compression path) across worker
-// counts.
+// counts, and read_checkpoint's slab decode inline vs on the shared team.
 //
 // Unlike the figure/table benches this is a plain timing harness (no
 // google-benchmark) so it can emit a stable machine-readable summary:
@@ -45,6 +45,11 @@
 //     run's serial share (shipping): >= 1.5x at 4 workers, >= 3x at 8
 //   dump/streaming_modeled: overlapped makespan strictly below the
 //     serial compress + write sum at every worker count
+// The restore rows are measured wall clock, gated on it at full scale:
+// when the host has >= 4 CPUs, restore/read_checkpoint on the shared team
+// (its row records the compute threads, workers + caller) must be >= 1.5x
+// faster than the same decode walk inline. At every scale the two fields
+// must be bit-identical.
 //
 // The Eqn 3 section re-derives the compute/transit crossover bandwidth B*
 // from each dispatch level's measured end-to-end codec throughput
@@ -65,8 +70,10 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "compress/common/checkpoint.hpp"
 #include "compress/lossless/shuffle_codec.hpp"
 #include "compress/sz/huffman.hpp"
 #include "compress/sz/pipeline.hpp"
@@ -103,18 +110,20 @@ struct BenchRecord {
   double bytes_per_sec = 0.0;  // 0 when the op has no natural byte volume
   std::size_t workers = 0;     // 0 for single-threaded kernels
   std::string dispatch;        // simd level the op ran at ("scalar"/"avx2")
+  std::size_t compute_threads = 0;  // threads the op computed on; 0 = unset
 };
 
 std::vector<BenchRecord> g_records;
 
 void push_record(const std::string& op, double ns_per_op, std::size_t bytes,
                  std::size_t iters, std::size_t workers,
-                 const std::string& dispatch) {
+                 const std::string& dispatch, std::size_t compute_threads = 0) {
   BenchRecord rec;
   rec.op = op;
   rec.ns_per_op = ns_per_op;
   rec.workers = workers;
   rec.dispatch = dispatch;
+  rec.compute_threads = compute_threads;
   if (bytes > 0 && ns_per_op > 0.0) {
     rec.bytes_per_sec = static_cast<double>(bytes) / (ns_per_op * 1e-9);
   }
@@ -126,6 +135,9 @@ void push_record(const std::string& op, double ns_per_op, std::size_t bytes,
   }
   if (rec.workers > 0) {
     std::printf("  workers=%zu", rec.workers);
+  }
+  if (rec.compute_threads > 0) {
+    std::printf("  compute_threads=%zu", rec.compute_threads);
   }
   std::printf("  [%s]\n", rec.dispatch.c_str());
 }
@@ -262,14 +274,18 @@ std::vector<BenchRecord> load_existing(const std::string& path) {
     double ns = 0.0;
     double bps = 0.0;
     unsigned long long workers = 0;
-    if (std::sscanf(line,
-                    " { \"op\" : \"%255[^\"]\" , \"ns_per_op\" : %lf , "
-                    "\"bytes_per_sec\" : %lf , \"workers\" : %llu , "
-                    "\"dispatch\" : \"%63[^\"]\"",
-                    op, &ns, &bps, &workers, dispatch) == 5) {
+    unsigned long long threads = 0;
+    const int fields = std::sscanf(
+        line,
+        " { \"op\" : \"%255[^\"]\" , \"ns_per_op\" : %lf , "
+        "\"bytes_per_sec\" : %lf , \"workers\" : %llu , "
+        "\"dispatch\" : \"%63[^\"]\" , \"compute_threads\" : %llu",
+        op, &ns, &bps, &workers, dispatch, &threads);
+    if (fields >= 5) {
       records.push_back(BenchRecord{op, ns, bps,
                                     static_cast<std::size_t>(workers),
-                                    dispatch});
+                                    dispatch,
+                                    static_cast<std::size_t>(threads)});
     } else if (std::sscanf(line,
                            " { \"op\" : \"%255[^\"]\" , \"ns_per_op\" : %lf , "
                            "\"bytes_per_sec\" : %lf , \"workers\" : %llu",
@@ -313,9 +329,13 @@ void write_json(const std::string& path) {
     std::fprintf(f,
                  "  {\"op\": \"%s\", \"ns_per_op\": %.3f, "
                  "\"bytes_per_sec\": %.3f, \"workers\": %zu, "
-                 "\"dispatch\": \"%s\"}%s\n",
+                 "\"dispatch\": \"%s\"",
                  r.op.c_str(), r.ns_per_op, r.bytes_per_sec, r.workers,
-                 r.dispatch.c_str(), i + 1 < merged.size() ? "," : "");
+                 r.dispatch.c_str());
+    if (r.compute_threads > 0) {
+      std::fprintf(f, ", \"compute_threads\": %zu", r.compute_threads);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < merged.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -854,6 +874,89 @@ void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
   }
 }
 
+/// read_checkpoint of NYX 96^3 (SZ 1e-2, default slab size) on the shared
+/// team against the same walk inline on the calling thread. The inline
+/// row skips read_checkpoint's whole-payload CRC pass, so it is if
+/// anything the faster of the two by that pass. Reps interleave the two
+/// and keep each one's best, like the paired kernels.
+void bench_restore(bool quick, std::vector<std::string>& failures) {
+  const auto field = lcp::data::generate_nyx(96, 5);
+  const std::size_t bytes = field.element_count() * sizeof(float);
+  lcp::compress::CheckpointOptions opts;
+  opts.codec = "sz";
+  opts.bound = lcp::compress::ErrorBound::absolute(1e-2);
+  const auto ckpt = lcp::compress::write_checkpoint(field, opts);
+  LCP_REQUIRE(ckpt.has_value(), "write_checkpoint failed in restore bench");
+  const auto layout = lcp::compress::SlabLayout::of(field, opts);
+  lcp::compress::RecoveryPolicy strict;
+  strict.fail_on_any_loss = true;
+
+  const auto read_inline = [&] {
+    auto rec = lcp::compress::recover_framed(*ckpt);
+    LCP_REQUIRE(rec.has_value(), "recover_framed failed in restore bench");
+    auto report = lcp::compress::decode_slabs(
+        layout,
+        [&rec](std::size_t s) {
+          const auto& chunk = rec->chunks[s + 1];
+          return lcp::compress::SlabBytes{static_cast<std::uint32_t>(s + 1),
+                                          chunk.state, chunk.status,
+                                          chunk.payload, {}};
+        },
+        strict);
+    LCP_REQUIRE(report.has_value(), "inline decode failed in restore bench");
+    return std::move(report->field);
+  };
+  const auto read_team = [&] {
+    auto restored = lcp::compress::read_checkpoint(*ckpt);
+    LCP_REQUIRE(restored.has_value(), "read_checkpoint failed in restore bench");
+    return std::move(*restored);
+  };
+
+  const auto inline_field = read_inline();
+  const auto team_field = read_team();  // also builds the team
+  const auto a = inline_field.values();
+  const auto b = team_field.values();
+  gate_identity(failures, "restore/read_checkpoint",
+                a.size() == b.size() &&
+                    std::memcmp(a.data(), b.data(), a.size_bytes()) == 0,
+                "between the inline walk and the shared team");
+
+  const std::size_t reps = quick ? 5 : 15;
+  double best[2] = {0.0, 0.0};
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      const auto start = Clock::now();
+      const auto restored = k == 0 ? read_inline() : read_team();
+      const auto stop = Clock::now();
+      LCP_REQUIRE(restored.element_count() == field.element_count(),
+                  "restore bench decoded the wrong size");
+      const double ns =
+          std::chrono::duration<double, std::nano>(stop - start).count();
+      if (best[k] == 0.0 || ns < best[k]) {
+        best[k] = ns;
+      }
+    }
+  }
+  const std::size_t team_workers = lcp::shared_pool().worker_count();
+  push_record("restore/read_checkpoint", best[0], bytes, reps, 0,
+              current_dispatch_name(), 1);
+  push_record("restore/read_checkpoint", best[1], bytes, reps, team_workers,
+              current_dispatch_name(), team_workers + 1);
+  const double speedup = best[0] / best[1];
+  std::printf("  shared team speedup vs inline: %.2fx on %zu compute threads\n",
+              speedup, team_workers + 1);
+  // Full scale only: --quick runs as a smoke test beside the rest of the
+  // suite, where other tests hold the CPUs the team would use.
+  if (!quick && std::thread::hardware_concurrency() >= 4 && speedup < 1.5) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "restore/read_checkpoint shared team %.2fx of inline on "
+                  "%zu compute threads (gate 1.5x at >= 4 CPUs)",
+                  speedup, team_workers + 1);
+    failures.emplace_back(buf);
+  }
+}
+
 void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
   // Re-derive Eqn 3's compute/transit crossover from each dispatch level's
   // measured end-to-end codec cost. The profile feeds the same
@@ -997,6 +1100,7 @@ int main(int argc, char** argv) {
   bench_checksums(quick, failures);
   bench_zfp_planes(quick, failures);
   bench_streaming_dump(quick, failures);
+  bench_restore(quick, failures);
   bench_eqn3_crossover(quick, failures);
 
   if (json) {

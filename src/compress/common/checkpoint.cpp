@@ -54,7 +54,8 @@ Expected<SlabLayout> parse_manifest(std::span<const std::uint8_t> bytes) {
 }
 
 /// Decodes a walked checkpoint frame: manifest (or its replica), then every
-/// slab through decode_slabs with the frame chunks as the slab source.
+/// slab through decode_slabs on the shared team, with the frame chunks as
+/// the slab source.
 /// Shared by recover_checkpoint and read_checkpoint, so the strict reader
 /// walks and checksums the frame only once.
 Expected<RecoveryReport> decode_checkpoint(const FrameRecovery& rec,
@@ -88,8 +89,8 @@ Expected<RecoveryReport> decode_checkpoint(const FrameRecovery& rec,
   auto report = decode_slabs(*layout, [&rec](std::size_t s) {
     const ChunkReport& chunk = rec.chunks[s + 1];
     return SlabBytes{static_cast<std::uint32_t>(s + 1), chunk.state,
-                     chunk.status, chunk.payload};
-  }, policy);
+                     chunk.status, chunk.payload, {}};
+  }, policy, &shared_pool());
   if (!report) {
     return report.status();
   }
@@ -322,16 +323,17 @@ Expected<SlabLayout> read_slab_layout(ByteReader& r, std::string_view what) {
 
 Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
                                       const SlabSource& source,
-                                      const RecoveryPolicy& policy) {
+                                      const RecoveryPolicy& policy,
+                                      ThreadPool* pool) {
   const std::size_t n = layout.dims.element_count();
   RecoveryReport report;
   report.total_elements = n;
   report.slabs.resize(layout.slab_count());
   std::vector<float> out(n, 0.0F);
-  std::vector<SlabRegion> regions;
-  regions.reserve(report.slabs.size());
 
-  for (std::size_t s = 0; s < report.slabs.size(); ++s) {
+  // One body per slab: it touches only its own verdict and its own range
+  // of `out`, so the bodies may run in any order on any thread.
+  const auto decode_one = [&](std::size_t s) {
     SlabVerdict& v = report.slabs[s];
     v.element_offset = layout.slab_offset(s);
     v.element_count = layout.slab_elements(s);
@@ -340,6 +342,19 @@ Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
     v.frame_state = supplied.frame_state;
     if (supplied.frame_state != ChunkState::kIntact) {
       v.status = std::move(supplied.status);
+      return;
+    }
+    // The header's element claim is checked before any codec allocates
+    // for it: a hostile slab costs its bytes, not its claim. A header that
+    // does not parse fails in decompress_any below.
+    if (const auto header = parse_container(supplied.bytes);
+        header && header->dims.element_count() != v.element_count) {
+      v.status = Status::corrupt_data(
+                     "slab header claims " +
+                     std::to_string(header->dims.element_count()) +
+                     " elements, layout holds " +
+                     std::to_string(v.element_count))
+                     .with_context("slab " + std::to_string(s));
     } else if (auto decoded = decompress_any(supplied.bytes); !decoded) {
       v.status = decoded.status().with_context("slab " + std::to_string(s));
     } else if (decoded->field.element_count() != v.element_count) {
@@ -352,12 +367,23 @@ Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
       v.status = Status::ok();
       v.recovered = true;
     }
+  };
+  if (pool == nullptr) {
+    for (std::size_t s = 0; s < report.slabs.size(); ++s) {
+      decode_one(s);
+    }
+  } else {
+    pool->parallel_for(0, report.slabs.size(), decode_one, /*grain=*/1);
+  }
+
+  std::vector<SlabRegion> regions;
+  regions.reserve(report.slabs.size());
+  for (const SlabVerdict& v : report.slabs) {
     if (!v.recovered) {
       report.lost_elements += v.element_count;
     }
     regions.push_back({v.element_offset, v.element_count, v.recovered});
   }
-
   if (policy.fail_on_any_loss && report.lost_elements > 0) {
     for (const auto& v : report.slabs) {
       if (!v.recovered) {

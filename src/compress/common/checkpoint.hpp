@@ -197,39 +197,50 @@ void interpolate_lost_regions(std::span<float> out,
 
 /// What a slab source supplied for one slab. A source that could not
 /// supply it sets `frame_state` to kMissing or kCorrupt and says why in
-/// `status`; `bytes` then stays empty. `bytes` need only stay valid until
-/// the source is called again.
+/// `status`; `bytes` then stays empty. `bytes` must stay valid until that
+/// slab is decoded: it may view storage the source keeps alive (frame
+/// chunks), or `owned`, which travels with the slab (a moved vector keeps
+/// its buffer, so the view survives the return from the source).
 struct SlabBytes {
   std::uint32_t chunk_seq = 0;  ///< where the slab came from (frame chunk)
   ChunkState frame_state = ChunkState::kIntact;
   Status status;
   std::span<const std::uint8_t> bytes;
+  std::vector<std::uint8_t> owned;  ///< fetched bytes `bytes` may view
 };
 
 /// Supplies slab `s` of a layout: frame chunks for a checkpoint stream,
-/// hash-verified replica fetches for the incremental store.
+/// hash-verified replica fetches for the incremental store. With a pool
+/// the source is called concurrently for distinct slabs, each slab once.
 using SlabSource = std::function<SlabBytes(std::size_t slab)>;
 
-/// The one slab decode walk. Asks `source` for every slab of `layout` in
-/// order, decodes what it supplies, checks the element count, places the
-/// slab at its offset and records a verdict. Then it counts lost
-/// elements, applies policy.fail_on_any_loss (the first lost slab's
-/// status, as a typed error) and the policy fill. Bytes that were
-/// supplied but fail to decode keep the source's frame_state.
+/// The one slab decode walk, the read-side twin of encode_slabs. Asks
+/// `source` for every slab of `layout`, checks the container header's
+/// element count against the slab's before any codec allocates for it,
+/// decodes, places the slab at its offset and records its verdict.
+/// Without a pool the slabs decode inline on the caller's thread, in
+/// order; with one they decode on the workers and the caller, each slab
+/// into its own range of the field and its own verdict. After every slab
+/// is walked (the walk never stops early) it counts lost elements in slab
+/// order, applies policy.fail_on_any_loss (the lowest lost slab's status,
+/// as a typed error) and the policy fill, so the report is the same
+/// bytes either way. Bytes that were supplied but fail to decode keep the
+/// source's frame_state.
 [[nodiscard]] Expected<RecoveryReport> decode_slabs(
     const SlabLayout& layout, const SlabSource& source,
-    const RecoveryPolicy& policy);
+    const RecoveryPolicy& policy, ThreadPool* pool = nullptr);
 
 /// Graceful-degradation decode of a checkpoint stream. Fails only when
 /// the frame layout or both manifest copies are unrecoverable (or when
 /// policy.fail_on_any_loss is set and anything was lost); all other
-/// damage degrades to per-slab verdicts.
+/// damage degrades to per-slab verdicts. Slabs decode on shared_pool().
 [[nodiscard]] Expected<RecoveryReport> recover_checkpoint(
     std::span<const std::uint8_t> bytes, const RecoveryPolicy& policy = {});
 
 /// Strict decode: every chunk and every slab must verify and decode;
 /// equivalent to recover_checkpoint with zero tolerance, but cheaper in
-/// the happy path and with whole-payload CRC confirmation.
+/// the happy path and with whole-payload CRC confirmation. Slabs decode
+/// on shared_pool().
 [[nodiscard]] Expected<data::Field> read_checkpoint(
     std::span<const std::uint8_t> bytes);
 

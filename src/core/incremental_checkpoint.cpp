@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -11,6 +12,7 @@
 #include "compress/common/framing.hpp"
 #include "support/bytestream.hpp"
 #include "support/checksum.hpp"
+#include "support/thread_pool.hpp"
 
 namespace lcp::core {
 namespace {
@@ -663,8 +665,10 @@ Expected<RestoreReport> IncrementalCheckpointStore::restore_from_view(
         "generation " + std::to_string(generation) + " not in journal");
   }
 
-  std::size_t failovers = 0;
-  std::vector<std::uint8_t> held;  // the fetched slab the walk is decoding
+  // Slabs are fetched and decoded concurrently on the shared team: each
+  // body owns its fetched object until its slab is decoded and records its
+  // own failover count, summed in slab order after the join.
+  std::vector<std::size_t> failovers(entry->layout.slab_count(), 0);
   auto decoded = compress::decode_slabs(
       entry->layout,
       [&](std::size_t s) {
@@ -685,21 +689,22 @@ Expected<RestoreReport> IncrementalCheckpointStore::restore_from_view(
           slab.frame_state = compress::ChunkState::kMissing;
           slab.status =
               fetched.status().with_context("slab " + std::to_string(s));
-          failovers += replicas_.replica_count();
+          failovers[s] = replicas_.replica_count();
           return slab;
         }
-        failovers += fetched->failovers;
-        held = std::move(fetched->bytes);
-        slab.bytes = held;
+        failovers[s] = fetched->failovers;
+        slab.owned = std::move(fetched->bytes);
+        slab.bytes = slab.owned;
         return slab;
       },
-      policy);
+      policy, &shared_pool());
   if (!decoded.has_value()) {
     return decoded.status().with_context("incremental restore");
   }
   RestoreReport report{std::move(*decoded)};
   report.generation = generation;
-  report.slab_failovers = failovers;
+  report.slab_failovers =
+      std::accumulate(failovers.begin(), failovers.end(), std::size_t{0});
   report.journal_degraded = view.degraded;
   return report;
 }

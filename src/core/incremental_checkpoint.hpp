@@ -55,7 +55,9 @@
 // serialized on an internal mutex. restore() is a pure read path — it
 // re-reads the journal from the replicas on every call and touches no
 // store members — so any number of restores may run concurrently with
-// each other (but not with a writer, same as any checkpoint file).
+// each other (but not with a writer, same as any checkpoint file). Each
+// restore decodes its slabs on the process-wide team (lcp::shared_pool()),
+// so concurrent restores take turns on it.
 
 #include <cstdint>
 #include <optional>
@@ -144,7 +146,9 @@ class IncrementalCheckpointStore {
   /// Reconstructs `generation` from any quorum of replicas. Lost slabs
   /// are filled per `policy` exactly as recover_checkpoint fills them
   /// (zero or nearest-neighbor-clamped interpolation), or turn the call
-  /// into a typed error under policy.fail_on_any_loss.
+  /// into a typed error under policy.fail_on_any_loss. Slabs are fetched
+  /// and decoded on lcp::shared_pool(), each fetched object held only
+  /// until its slab is decoded.
   [[nodiscard]] Expected<RestoreReport> restore(
       std::uint64_t generation,
       const compress::RecoveryPolicy& policy = {}) const;

@@ -19,7 +19,9 @@ double effective_activity(const Workload& w, const ChipSpec& spec,
   const double t_cpu = w.cpu_ghz_seconds / (f.ghz() * spec.perf_factor);
   const double busy = std::max(t_cpu, w.floor_seconds.seconds());
   if (busy <= 0.0) {
-    return 0.0;
+    // Pure stall: the beta -> 0+ limit (full activity, the package busy
+    // on memory traffic). Only a workload with no time at all is idle.
+    return w.stall_seconds.seconds() > 0.0 ? w.activity : 0.0;
   }
   // Stall time counts as active-but-waiting (memory traffic keeps the
   // package busy); only the pipeline floor idles the core.

@@ -36,6 +36,9 @@ struct Workload {
 
 /// Effective activity factor at `f`: when the pipeline floor dominates, the
 /// core stalls and dynamic activity drops proportionally to utilization.
+/// A pure-stall workload (stall time, no cpu time, no floor) runs at full
+/// `activity`, the limit of a vanishing cpu share; only a workload with no
+/// time at all has activity 0.
 [[nodiscard]] double effective_activity(const Workload& w, const ChipSpec& spec,
                                         GigaHertz f) noexcept;
 

@@ -131,4 +131,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
 }
 
+ThreadPool& shared_pool() {
+  // hardware_concurrency() may report 0 (unknown): that gets 1 worker too.
+  static ThreadPool pool{std::size_t{
+      std::max(2u, std::thread::hardware_concurrency()) - 1u}};
+  return pool;
+}
+
 }  // namespace lcp

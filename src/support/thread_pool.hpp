@@ -1,6 +1,6 @@
 #pragma once
 // Fork-join thread pool behind every parallel_for in the tree (the pooled
-// slab encode walk and the parallel frequency sweep).
+// slab encode and decode walks and the parallel frequency sweep).
 //
 // `ThreadPool{w}` owns w worker threads that sleep on a condition variable
 // between jobs. parallel_for publishes one job — a shared atomic cursor over
@@ -76,5 +76,11 @@ class ThreadPool {
   std::exception_ptr error_ LCP_GUARDED_BY(mutex_);  // first one wins
   std::atomic<std::size_t> next_{0};  // the job's chunk cursor
 };
+
+/// The process-wide team the checkpoint readers decode slabs on, built on
+/// first use with max(1, hardware_concurrency() - 1) workers: with the
+/// calling thread that makes one compute thread per CPU. Calls from
+/// different threads take turns on it like on any pool.
+[[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace lcp

@@ -48,6 +48,21 @@ TEST(WorkloadTest, EmptyWorkloadHasZeroActivity) {
   EXPECT_DOUBLE_EQ(effective_activity(w, bdw(), bdw().f_max), 0.0);
 }
 
+TEST(WorkloadTest, PureStallEnergyIsTheLimitOfAVanishingCpuShare) {
+  // compression_workload at beta = 0 is all stall; its energy must be the
+  // beta -> 0+ limit, not a jump down to static power.
+  for (const ChipSpec* spec : {&bdw(), &skl()}) {
+    const auto stall = compression_workload(*spec, Seconds{10.0}, 0.0, 1.0);
+    const auto tiny = compression_workload(*spec, Seconds{10.0}, 1e-6, 1.0);
+    for (const GigaHertz f : {spec->f_min, spec->f_max}) {
+      const double e0 = workload_energy(stall, *spec, f).joules();
+      const double e1 = workload_energy(tiny, *spec, f).joules();
+      EXPECT_NEAR(e0, e1, 1e-4 * e1) << spec->cpu_name << " at " << f.ghz();
+      EXPECT_DOUBLE_EQ(effective_activity(stall, *spec, f), 1.0);
+    }
+  }
+}
+
 TEST(WorkloadTest, EnergyEqualsPowerTimesRuntime) {
   Workload w;
   w.cpu_ghz_seconds = 4.0;

@@ -274,15 +274,18 @@ TEST(PlanPinTest, OptimalFrequencies) {
   // energy optimum, which already does.
   EXPECT_EQ(chosen(floor, MinEnergy{Seconds{10.0}}).ghz(), kFmin);
 
-  // A memory-bound stage (beta = 0) costs the same joules at every clock,
-  // and so does a stage with no work. The old energy optimizer returned
-  // f_max for both, as the planner does.
+  // A memory-bound stage (beta = 0) runs equally long at every clock but
+  // draws full dynamic power (the beta -> 0+ limit), so its energy optimum
+  // is f_min, with or without a deadline it meets everywhere. A stage with
+  // no work costs the same (zero) joules at every clock; the old energy
+  // optimizer returned f_max for it, as the planner does.
   const auto flat = power::compression_workload(bdw(), Seconds{10.0}, 0.0, 1.0);
-  EXPECT_EQ(chosen(flat, MinEnergy{}).ghz(), kFmax);
+  EXPECT_EQ(chosen(flat, MinEnergy{}).ghz(), kFmin);
   EXPECT_EQ(chosen(power::Workload{}, MinEnergy{}).ghz(), kFmax);
-  // Tie: the old deadline scheduler started both at f_min (0x1.999999999999ap-1)
-  // and, with the deadline already met, left them there.
-  EXPECT_EQ(chosen(flat, MinEnergy{Seconds{100.0}}).ghz(), kFmax);
+  // Tie: the old deadline scheduler started the empty stage at f_min
+  // (0x1.999999999999ap-1) and, with the deadline already met, left it
+  // there.
+  EXPECT_EQ(chosen(flat, MinEnergy{Seconds{100.0}}).ghz(), kFmin);
   EXPECT_EQ(chosen(power::Workload{}, MinEnergy{Seconds{1.0}}).ghz(), kFmax);
 }
 
