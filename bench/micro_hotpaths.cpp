@@ -4,7 +4,8 @@
 // write/read, the byte-shuffle and zlite lossless kernels, the CRC32C and
 // batched FNV-1a integrity hashes, ZFP embedded plane coding, the
 // streaming dump engine (the pooled slab compression path) across worker
-// counts, and read_checkpoint's slab decode inline vs on the shared team.
+// counts, and write_checkpoint's slab encode and read_checkpoint's slab
+// decode, each inline vs on the shared team.
 //
 // Unlike the figure/table benches this is a plain timing harness (no
 // google-benchmark) so it can emit a stable machine-readable summary:
@@ -45,11 +46,12 @@
 //     run's serial share (shipping): >= 1.5x at 4 workers, >= 3x at 8
 //   dump/streaming_modeled: overlapped makespan strictly below the
 //     serial compress + write sum at every worker count
-// The restore rows are measured wall clock, gated on it at full scale:
-// when the host has >= 4 CPUs, restore/read_checkpoint on the shared team
-// (its row records the compute threads, workers + caller) must be >= 1.5x
-// faster than the same decode walk inline. At every scale the two fields
-// must be bit-identical.
+// The write and restore rows are measured wall clock, gated on it at full
+// scale: when the host has >= 4 CPUs, dump/write_checkpoint and
+// restore/read_checkpoint on the shared team (each row records the
+// compute threads, workers + caller) must be >= 1.5x faster than the same
+// encode or decode walk inline. At every scale the two frames must be
+// byte-identical and the two fields bit-identical.
 //
 // The Eqn 3 section re-derives the compute/transit crossover bandwidth B*
 // from each dispatch level's measured end-to-end codec throughput
@@ -94,6 +96,7 @@
 #include "support/thread_pool.hpp"
 #include "tuning/codec_choice.hpp"
 #include "tuning/rule.hpp"
+#include "encode_slabs_frame.hpp"
 #include "zfp_reference_coder.hpp"
 
 namespace {
@@ -874,6 +877,66 @@ void bench_streaming_dump(bool quick, std::vector<std::string>& failures) {
   }
 }
 
+/// write_checkpoint of NYX 96^3 (SZ 1e-2, default slab size) on the shared
+/// team against the same encode walk inline on the calling thread, framed
+/// by a plain FramedWriter sink (the tests' oracle frame): the true
+/// one-thread dump baseline. Reps interleave the two and keep each one's
+/// best, like the paired kernels.
+void bench_dump_write(bool quick, std::vector<std::string>& failures) {
+  const auto field = lcp::data::generate_nyx(96, 5);
+  const std::size_t bytes = field.element_count() * sizeof(float);
+  lcp::compress::CheckpointOptions opts;
+  opts.codec = "sz";
+  opts.bound = lcp::compress::ErrorBound::absolute(1e-2);
+  const auto write_inline = [&] {
+    auto frame = lcp::compress::encode_slabs_frame(field, opts);
+    LCP_REQUIRE(frame.has_value(), "inline encode failed in dump bench");
+    return std::move(*frame);
+  };
+  const auto write_team = [&] {
+    auto frame = lcp::compress::write_checkpoint(field, opts);
+    LCP_REQUIRE(frame.has_value(), "write_checkpoint failed in dump bench");
+    return std::move(*frame);
+  };
+
+  gate_identity(failures, "dump/write_checkpoint",
+                write_inline() == write_team(),
+                "between the inline walk and the shared team");
+
+  const std::size_t reps = quick ? 5 : 15;
+  double best[2] = {0.0, 0.0};
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      const auto start = Clock::now();
+      const auto frame = k == 0 ? write_inline() : write_team();
+      const auto stop = Clock::now();
+      LCP_REQUIRE(!frame.empty(), "dump bench wrote no frame");
+      const double ns =
+          std::chrono::duration<double, std::nano>(stop - start).count();
+      if (best[k] == 0.0 || ns < best[k]) {
+        best[k] = ns;
+      }
+    }
+  }
+  const std::size_t team_workers = lcp::shared_pool().worker_count();
+  push_record("dump/write_checkpoint", best[0], bytes, reps, 0,
+              current_dispatch_name(), 1);
+  push_record("dump/write_checkpoint", best[1], bytes, reps, team_workers,
+              current_dispatch_name(), team_workers + 1);
+  const double speedup = best[0] / best[1];
+  std::printf("  shared team speedup vs inline: %.2fx on %zu compute threads\n",
+              speedup, team_workers + 1);
+  // Full scale only, as for restore/read_checkpoint.
+  if (!quick && std::thread::hardware_concurrency() >= 4 && speedup < 1.5) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "dump/write_checkpoint shared team %.2fx of inline on "
+                  "%zu compute threads (gate 1.5x at >= 4 CPUs)",
+                  speedup, team_workers + 1);
+    failures.emplace_back(buf);
+  }
+}
+
 /// read_checkpoint of NYX 96^3 (SZ 1e-2, default slab size) on the shared
 /// team against the same walk inline on the calling thread. The inline
 /// row skips read_checkpoint's whole-payload CRC pass, so it is if
@@ -1100,6 +1163,7 @@ int main(int argc, char** argv) {
   bench_checksums(quick, failures);
   bench_zfp_planes(quick, failures);
   bench_streaming_dump(quick, failures);
+  bench_dump_write(quick, failures);
   bench_restore(quick, failures);
   bench_eqn3_crossover(quick, failures);
 

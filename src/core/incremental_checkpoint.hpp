@@ -14,14 +14,15 @@
 //
 //   - Dirty detection by raw-content hash. The journal records, per slab,
 //     the hash of the slab's RAW float bytes alongside the stored object's
-//     hash. A dump first re-hashes each raw slab and skips compression
-//     and transit entirely for slabs whose raw hash is unchanged — lossy
-//     codecs make "compress and compare" useless for this, so the raw
-//     hash is the dirty key and the stored hash is the object key. The
-//     dirty slabs then go through compress::encode_slabs, the encode walk
-//     write_checkpoint and the streaming dump also run, on the caller's
-//     thread, with a sink that dedups and puts each object; so an object
-//     holds exactly the bytes of write_checkpoint's chunk for that slab.
+//     hash. A dump first re-hashes each raw slab (on lcp::shared_pool(),
+//     8 slabs per body) and skips compression and transit entirely for
+//     slabs whose raw hash is unchanged — lossy codecs make "compress and
+//     compare" useless for this, so the raw hash is the dirty key and the
+//     stored hash is the object key. The dirty slabs then go through
+//     compress::encode_slabs, the encode walk write_checkpoint and the
+//     streaming dump also run, on the caller's thread, with a sink that
+//     dedups and puts each object; so an object holds exactly the bytes of
+//     write_checkpoint's chunk for that slab.
 //
 //   - Append-only manifest journal. Each generation appends one entry
 //     (codec, bound, dims, and the per-slab hash table) to a logical
@@ -57,7 +58,7 @@
 // store members — so any number of restores may run concurrently with
 // each other (but not with a writer, same as any checkpoint file). Each
 // restore decodes its slabs on the process-wide team (lcp::shared_pool()),
-// so concurrent restores take turns on it.
+// as each dump hashes its raw slabs, so concurrent calls take turns on it.
 
 #include <cstdint>
 #include <optional>

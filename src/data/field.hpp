@@ -6,6 +6,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/status.hpp"
@@ -68,6 +69,10 @@ class Field {
     return values_;
   }
   [[nodiscard]] std::span<float> mutable_values() noexcept { return values_; }
+  /// Moves the values out of a field that is done with them.
+  [[nodiscard]] std::vector<float> take_values() && {
+    return std::move(values_);
+  }
 
   [[nodiscard]] float at(std::span<const std::size_t> index) const {
     return values_[dims_.offset(index)];

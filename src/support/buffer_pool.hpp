@@ -14,8 +14,9 @@
 //   ScratchLease<T> — RAII acquire/release on a ScratchPool<T>.
 //
 // Compressed slab containers are not pooled: each one is a fresh vector
-// that the slab encode walk (compress::encode_slabs) hands to its sink
-// and frees once the sink returns.
+// that the slab encode walk (compress::encode_slabs) hands to its sink,
+// which frames, ships or parks it. The slab copy each encode compresses
+// is pooled.
 //
 // Released buffers are poisoned (first kPoisonBytes overwritten with
 // kPoisonByte) so use-after-release reads deterministic garbage instead of

@@ -77,10 +77,12 @@ class ThreadPool {
   std::atomic<std::size_t> next_{0};  // the job's chunk cursor
 };
 
-/// The process-wide team the checkpoint readers decode slabs on, built on
-/// first use with max(1, hardware_concurrency() - 1) workers: with the
-/// calling thread that makes one compute thread per CPU. Calls from
-/// different threads take turns on it like on any pool.
+/// The process-wide team of the checkpoint paths: write_checkpoint
+/// compresses its slabs on it, the incremental store hashes its raw slabs
+/// on it, and the checkpoint readers decode slabs on it. Built on first
+/// use with max(1, hardware_concurrency() - 1) workers: with the calling
+/// thread that makes one compute thread per CPU. Calls from different
+/// threads take turns on it like on any pool.
 [[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace lcp

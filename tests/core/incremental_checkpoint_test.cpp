@@ -20,6 +20,7 @@
 #include "io/fault.hpp"
 #include "io/nfs_server.hpp"
 #include "io/replica_set.hpp"
+#include "support/bytestream.hpp"
 #include "support/checksum.hpp"
 
 namespace lcp::core {
@@ -569,6 +570,97 @@ TEST(IncrementalStoreTest, DumpValidatesInput) {
   bad.checkpoint.chunk_elements = 0;
   IncrementalCheckpointStore store{rig.replicas, bad};
   EXPECT_FALSE(store.dump(empty).has_value());
+}
+
+/// Raw-hash column of the newest generation in the journal `server`
+/// holds, read from the stored bytes: header chunk first, generation
+/// entries after it, the newest last.
+std::vector<std::uint64_t> journal_raw_hashes(const NfsServer& server) {
+  const auto journals = server.list_files("ckpt/journal.");
+  EXPECT_FALSE(journals.empty());
+  if (journals.empty()) {
+    return {};
+  }
+  // Epoch names are fixed-width hex, so the last name is the newest epoch.
+  const auto bytes = server.read_file(journals.back());
+  EXPECT_TRUE(bytes.has_value());
+  auto walked = compress::recover_framed(*bytes);
+  EXPECT_TRUE(walked.has_value() && walked->chunks.size() >= 2);
+  ByteReader r{walked->chunks.back().payload};
+  EXPECT_TRUE(r.read_u32().has_value());  // magic
+  EXPECT_TRUE(r.read_u8().has_value());   // version
+  EXPECT_TRUE(r.read_u64().has_value());  // generation
+  EXPECT_TRUE(r.read_u64().has_value());  // parent
+  EXPECT_TRUE(compress::read_slab_layout(r, "entry").has_value());
+  EXPECT_TRUE(r.read_u32().has_value());  // dirty slabs
+  const auto count = r.read_u32();
+  EXPECT_TRUE(count.has_value());
+  std::vector<std::uint64_t> raw;
+  for (std::uint32_t s = 0; count.has_value() && s < *count; ++s) {
+    const auto raw_hash = r.read_u64();
+    EXPECT_TRUE(raw_hash.has_value());
+    raw.push_back(raw_hash.has_value() ? *raw_hash : 0);
+    EXPECT_TRUE(r.read_u64().has_value());  // stored hash
+    EXPECT_TRUE(r.read_u64().has_value());  // stored bytes
+  }
+  return raw;
+}
+
+/// The inline raw-hash pass: fnv1a64 of every slab's raw bytes, one slab
+/// at a time.
+std::vector<std::uint64_t> inline_raw_hashes(
+    const data::Field& field, const compress::CheckpointOptions& opts) {
+  const auto layout = compress::SlabLayout::of(field, opts);
+  std::vector<std::uint64_t> hashes;
+  for (std::size_t s = 0; s < layout.slab_count(); ++s) {
+    const auto values = layout.slab_values(field, s);
+    hashes.push_back(fnv1a64({reinterpret_cast<const std::uint8_t*>(
+                                  values.data()),
+                              values.size_bytes()}));
+  }
+  return hashes;
+}
+
+TEST(IncrementalStoreTest, RawHashPassCoversAPartialLastGroup) {
+  // 13 slabs, the last one short: the pooled hash pass runs one full
+  // group of 8 slabs and one partial group of 5.
+  constexpr std::size_t kSlabs = 13;
+  const std::size_t elements = kSlabs * kChunk - 100;
+  std::vector<float> values(elements);
+  for (std::size_t i = 0; i < elements; ++i) {
+    values[i] = 0.5F + 0.001F * static_cast<float>(i % 311);
+  }
+  const data::Field gen1{"rho", data::Dims::d1(elements), std::move(values)};
+  Rig rig;
+  ASSERT_EQ(compress::checkpoint_slab_count(gen1, rig.opts.checkpoint),
+            kSlabs);
+
+  const auto first = rig.store.dump(gen1);
+  ASSERT_TRUE(first.has_value()) << first.status().to_string();
+  EXPECT_EQ(first->dirty_slabs, kSlabs);
+  const auto hashes1 = inline_raw_hashes(gen1, rig.opts.checkpoint);
+  EXPECT_EQ(journal_raw_hashes(rig.s0), hashes1);
+
+  // Slabs 1 and 6 sit in the full group, 9 and 12 (the short one) in the
+  // partial one.
+  auto gen2 = touch(gen1, 1 * kChunk + 7, 3, 0.25F);
+  gen2 = touch(gen2, 6 * kChunk, 1, 0.25F);
+  gen2 = touch(gen2, 9 * kChunk + 100, 50, 0.25F);
+  gen2 = touch(gen2, elements - 1, 1, 0.25F);
+  const auto second = rig.store.dump(gen2);
+  ASSERT_TRUE(second.has_value()) << second.status().to_string();
+  const auto hashes2 = inline_raw_hashes(gen2, rig.opts.checkpoint);
+  EXPECT_EQ(journal_raw_hashes(rig.s0), hashes2);
+  std::size_t changed = 0;
+  for (std::size_t s = 0; s < kSlabs; ++s) {
+    changed += hashes1[s] != hashes2[s] ? 1 : 0;
+  }
+  EXPECT_EQ(changed, 4u);
+  EXPECT_EQ(second->dirty_slabs, changed);
+  EXPECT_EQ(second->written_slabs, changed);
+  const auto restored = rig.store.restore_latest();
+  ASSERT_TRUE(restored.has_value()) << restored.status().to_string();
+  expect_identical(restored->field, reference(gen2, rig.opts.checkpoint));
 }
 
 // --- Differential oracle: restore vs recover_checkpoint -----------------

@@ -2,7 +2,10 @@
 // compress::write_checkpoint, so every existing checkpoint reader keeps
 // working on streamed dumps. These tests pin that contract plus the
 // pipeline mechanics (stats accounting, backpressure, error paths), and
-// run the pooled path through both lossy codecs (ParallelCodecTest).
+// run the pooled path through both lossy codecs (ParallelCodecTest). The
+// oracle is the inline encode walk's frame (encode_slabs_frame.hpp):
+// write_checkpoint now compresses on the shared team, and the
+// WriteCheckpointTeamTest suite pins its bytes to that same frame.
 
 #include "core/streaming_dump.hpp"
 
@@ -19,6 +22,8 @@
 #include "io/fault.hpp"
 #include "io/nfs_client.hpp"
 #include "support/thread_pool.hpp"
+
+#include "../compress/encode_slabs_frame.hpp"
 
 namespace lcp::core {
 namespace {
@@ -38,7 +43,7 @@ StreamingDumpConfig small_slabs(std::size_t chunk_elements = 2048) {
 TEST(StreamingDumpTest, ServerBytesMatchWriteCheckpointExactly) {
   const auto field = make_field();
   const auto cfg = small_slabs();
-  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  auto serial = compress::encode_slabs_frame(field, cfg.checkpoint);
   ASSERT_TRUE(serial.has_value()) << serial.status().to_string();
 
   io::NfsServer server;
@@ -118,7 +123,7 @@ TEST(StreamingDumpTest, TinyQueueBackpressureStillProducesIdenticalBytes) {
   // than that: threads wait on backpressure, and the bytes stay put.
   const auto field = make_field();
   const auto cfg = small_slabs(1024);
-  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  auto serial = compress::encode_slabs_frame(field, cfg.checkpoint);
   ASSERT_TRUE(serial.has_value());
 
   io::NfsServer server;
@@ -138,7 +143,7 @@ TEST(StreamingDumpTest, ManyThreadsHandOffShippingInSlabOrder) {
   // dump must still land slab-ordered and byte-identical.
   const auto field = make_field();
   const auto cfg = small_slabs(256);
-  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  auto serial = compress::encode_slabs_frame(field, cfg.checkpoint);
   ASSERT_TRUE(serial.has_value());
 
   ThreadPool pool{8};
@@ -167,7 +172,7 @@ TEST(StreamingDumpTest, SingleSlabFieldStreams) {
   EXPECT_EQ(stats->slabs, 1u);
   EXPECT_EQ(stats->frame_chunks, 3u);
 
-  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  auto serial = compress::encode_slabs_frame(field, cfg.checkpoint);
   ASSERT_TRUE(serial.has_value());
   auto stored = server.read_file("/ckpt/one");
   ASSERT_TRUE(stored.has_value());
@@ -239,11 +244,11 @@ TEST(StreamingDumpTest, ServerDownMidStreamSurfacesTypedStatus) {
 
 TEST(StreamingDumpTest, TransientMidStreamOutageRidesRetries) {
   // Same outage window, but it clears after two failed attempts per RPC:
-  // backoff absorbs it and the wire bytes stay identical to the serial
-  // write_checkpoint path.
+  // backoff absorbs it and the wire bytes stay identical to the inline
+  // encode walk's frame.
   const auto field = make_field();
   const auto cfg = small_slabs(1024);
-  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  auto serial = compress::encode_slabs_frame(field, cfg.checkpoint);
   ASSERT_TRUE(serial.has_value());
 
   io::FaultPlan plan;
@@ -344,12 +349,12 @@ TEST_P(ParallelCodecTest, ChunkingIsDeterministic) {
 
 TEST_P(ParallelCodecTest, WorkerCountNeverChangesTheBytes) {
   // Slab boundaries depend only on the options, so the stream must equal
-  // write_checkpoint's bytes no matter how many workers raced over the
+  // the inline walk's bytes no matter how many workers raced over the
   // slabs — including 0 (hardware concurrency) and a deliberately odd 7
   // that does not divide the 13-slab split.
   const auto field = data::generate_cesm_atm(13, 24, 36, 9);
   const auto cfg = codec_slabs(GetParam(), 1e-3, 24 * 36);
-  auto serial = compress::write_checkpoint(field, cfg.checkpoint);
+  auto serial = compress::encode_slabs_frame(field, cfg.checkpoint);
   ASSERT_TRUE(serial.has_value()) << serial.status().to_string();
   ASSERT_EQ(compress::checkpoint_slab_count(field, cfg.checkpoint), 13u);
   for (std::size_t workers : {std::size_t{1}, std::size_t{0}, std::size_t{7}}) {
