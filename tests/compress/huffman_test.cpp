@@ -387,6 +387,33 @@ TEST(HuffmanTest, SparseAlphabetsRoundTripAtBothLevels) {
   }
 }
 
+TEST(HuffmanTest, CodesLongerThan24BitsEncodeCanonically) {
+  // Fibonacci counts over 28 symbols give one code of every length up to
+  // 27 bits, so the encoder takes its long-code path (codes past 24 bits
+  // are not packed into the 32-bit table entry) for the rarest symbols.
+  std::vector<std::uint64_t> freq(kSzAlphabet, 0);
+  std::vector<std::uint32_t> symbols;
+  std::uint64_t fa = 1;
+  std::uint64_t fb = 1;
+  for (std::uint32_t i = 0; i < 28; ++i) {
+    const std::uint32_t s = 40000 - 1300 * i;
+    freq[s] = fa;
+    symbols.insert(symbols.end(), fa, s);
+    const std::uint64_t next = fa + fb;
+    fb = fa;
+    fa = next;
+  }
+  Rng rng{404};
+  for (std::size_t i = symbols.size(); i > 1; --i) {
+    std::swap(symbols[i - 1], symbols[rng.uniform_index(i)]);
+  }
+  const auto lengths = reference_lengths(freq);
+  ASSERT_GT(*std::max_element(lengths.begin(), lengths.end()), 24u);
+  const auto blob = huffman_encode(symbols, kSzAlphabet);
+  EXPECT_EQ(blob, encode_with_lengths(lengths, symbols));
+  expect_decodes_at_both_levels(blob, symbols);
+}
+
 TEST(HuffmanTest, CodeLengthsUpTo32BitsDecodeAtBothLevels) {
   // One symbol of every length 1..31 plus two of length 32: a complete
   // code whose lengths straddle the scalar 11-bit table and the AVX2
