@@ -20,8 +20,8 @@
 // (interleaved, best-of-N — this host is a noisy shared VM and min-of-
 // interleaved is robust where mean-of-batch is not) with a bit-identity
 // spot check between the two dispatch levels' outputs. Gates (exit code):
-//   sz/predict_quantize_fused and huffman/decode: avx2 >= 2x scalar at
-//     full scale (>= 1.5x at --quick scale) when the host has AVX2
+//   sz/predict_quantize_fused: avx2 >= 2x scalar at full scale (>= 1.5x
+//     at --quick scale) when the host has AVX2
 //   every other paired kernel (support/crc32c and support/fnv1a64_many
 //     among them): avx2 never worse than scalar beyond a 0.85x noise
 //     tolerance
@@ -29,11 +29,16 @@
 //   zfp/{encode,decode}_planes{_n4,_n16,}: the plane coder has no
 //     dispatch, so each block size runs once; encoded bytes must equal the
 //     per-call reference coder's and decoding must return the input
+//   huffman/decode: the decoder has no dispatch; at the level the host
+//     runs it must be >= 2x the single-symbol reference decoder
+//     (tests/compress/huffman_reference.hpp) at full scale (>= 1.5x at
+//     --quick scale), interleaved best-of-N, and return exactly the
+//     reference's symbols
 //   huffman/decode_slab: per-symbol throughput on 32 Ki-symbol slabs at
-//     least 0.5x the whole-field huffman/decode row, at the level the
-//     host runs
-// On scalar-only hosts (or under LCP_FORCE_SCALAR=1) the SIMD gates all
-// pass trivially: there is nothing to compare.
+//     least 0.5x the whole-field huffman/decode row
+// On scalar-only hosts (or under LCP_FORCE_SCALAR=1) the dispatch-pair
+// gates pass trivially: there is nothing to compare. The reference and
+// slab gates hold at every level.
 //
 // Scaling discipline: wall-clock rows are real measurements. They can
 // stay flat even on a multi-CPU host: large per-call allocations
@@ -97,6 +102,7 @@
 #include "tuning/codec_choice.hpp"
 #include "tuning/rule.hpp"
 #include "encode_slabs_frame.hpp"
+#include "huffman_reference.hpp"
 #include "zfp_reference_coder.hpp"
 
 namespace {
@@ -261,6 +267,49 @@ void gate_identity(std::vector<std::string>& failures, const std::string& op,
   }
 }
 
+/// Best-of times of a library body and of the test oracle it replaced.
+struct ReferenceTimes {
+  double library_ns = 0.0;
+  double reference_ns = 0.0;
+
+  [[nodiscard]] double speedup() const {
+    return library_ns > 0.0 ? reference_ns / library_ns : 1.0;
+  }
+};
+
+/// Runs `body` and `reference` at the current dispatch level, interleaved
+/// rep by rep, keeping each one's best time. Emits `op` and
+/// `op`_reference records.
+template <typename Body, typename Reference>
+ReferenceTimes run_with_reference(const std::string& op, std::size_t reps,
+                                  std::size_t bytes, Body&& body,
+                                  Reference&& reference) {
+  const auto time_ns = [](auto& fn) {
+    const auto start = Clock::now();
+    fn();
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
+        .count();
+  };
+  body();  // warm-up: page-faults buffers, primes pooled scratch
+  reference();
+  ReferenceTimes times;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const double lib = time_ns(body);
+    const double ref = time_ns(reference);
+    if (times.library_ns == 0.0 || lib < times.library_ns) {
+      times.library_ns = lib;
+    }
+    if (times.reference_ns == 0.0 || ref < times.reference_ns) {
+      times.reference_ns = ref;
+    }
+  }
+  push_record(op, times.library_ns, bytes, reps, 0, current_dispatch_name());
+  push_record(op + "_reference", times.reference_ns, bytes, reps, 0,
+              current_dispatch_name());
+  std::printf("  %s: %.2fx the reference\n", op.c_str(), times.speedup());
+  return times;
+}
+
 /// Parses records previously written by write_json. Best-effort: a line
 /// that does not match the record shape is skipped. Records from before
 /// the dispatch field keep an empty dispatch key.
@@ -385,7 +434,6 @@ void bench_fused_pipeline(bool quick, std::vector<std::string>& failures) {
   const lcp::sz::LinearQuantizer quantizer{1e-3};
   std::vector<std::uint32_t> codes;
   std::vector<std::uint32_t> exact;
-  std::vector<float> decoded;
   const std::size_t bytes = field.element_count() * sizeof(float);
   const auto pq = run_paired(
       "sz/predict_quantize_fused", quick ? 5 : 7, bytes, [&] {
@@ -394,21 +442,20 @@ void bench_fused_pipeline(bool quick, std::vector<std::string>& failures) {
         lcp::sz::predict_quantize_fused(field.values(),
                                         field.dims().extents(),
                                         lcp::sz::SzPredictor::kFirstOrder,
-                                        quantizer, codes, exact, decoded);
+                                        quantizer, codes, exact);
       });
   gate_speedup(failures, "sz/predict_quantize_fused", pq, quick ? 1.5 : 2.0);
 
-  // Dispatch identity spot check: the quantization codes, exact-value side
-  // stream and decoded grid must match bit for bit across levels.
+  // Dispatch identity spot check: the quantization codes and exact-value
+  // side stream must match bit for bit across levels.
   {
     std::vector<std::uint32_t> codes_s;
     std::vector<std::uint32_t> exact_s;
-    std::vector<float> decoded_s;
     {
       lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kScalar};
       lcp::sz::predict_quantize_fused(field.values(), field.dims().extents(),
                                       lcp::sz::SzPredictor::kFirstOrder,
-                                      quantizer, codes_s, exact_s, decoded_s);
+                                      quantizer, codes_s, exact_s);
     }
     {
       lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kAvx2};
@@ -416,13 +463,9 @@ void bench_fused_pipeline(bool quick, std::vector<std::string>& failures) {
       exact.clear();
       lcp::sz::predict_quantize_fused(field.values(), field.dims().extents(),
                                       lcp::sz::SzPredictor::kFirstOrder,
-                                      quantizer, codes, exact, decoded);
+                                      quantizer, codes, exact);
     }
-    const bool same =
-        codes == codes_s && exact == exact_s &&
-        decoded.size() == decoded_s.size() &&
-        std::memcmp(decoded.data(), decoded_s.data(),
-                    decoded.size() * sizeof(float)) == 0;
+    const bool same = codes == codes_s && exact == exact_s;
     gate_identity(failures, "sz/predict_quantize_fused", same);
   }
 
@@ -459,7 +502,7 @@ void bench_fused_pipeline(bool quick, std::vector<std::string>& failures) {
 /// the per-call table work weighs far more than on a whole field. Each
 /// body codes every 32 Ki slab of a NYX field at 1e-2, the ckpt_stream
 /// shape. Gate: slab decode must reach at least half the whole-field
-/// row's per-symbol throughput at the same dispatch level.
+/// row's per-symbol throughput.
 void bench_huffman_slabs(bool quick, std::vector<std::string>& failures,
                          double whole_ns_per_symbol) {
   constexpr std::size_t kSlab = std::size_t{1} << 15;
@@ -477,10 +520,9 @@ void bench_huffman_slabs(bool quick, std::vector<std::string>& failures,
     const lcp::data::Field slab{"slab", lcp::data::Dims::d1(kSlab),
                                 std::vector<float>(first, first + kSlab)};
     std::vector<std::uint32_t> exact;
-    std::vector<float> grid;
     lcp::sz::predict_quantize_fused(slab.values(), slab.dims().extents(),
                                     lcp::sz::SzPredictor::kFirstOrder,
-                                    quantizer, symbols[s], exact, grid);
+                                    quantizer, symbols[s], exact);
     auto compressed =
         codec.compress(slab, lcp::compress::ErrorBound::absolute(kBound));
     LCP_REQUIRE(compressed.has_value(), "slab compress failed in benchmark");
@@ -497,16 +539,29 @@ void bench_huffman_slabs(bool quick, std::vector<std::string>& failures,
 
   std::vector<std::uint32_t> decoded;
   bool identical = true;
-  const auto dec = run_paired("huffman/decode_slab", quick ? 5 : 7, bytes, [&] {
-    for (std::size_t s = 0; s < slabs; ++s) {
-      const auto status =
-          lcp::sz::huffman_decode_into(blobs[s], kSlab, decoded);
-      LCP_REQUIRE(status.is_ok(), "huffman slab decode failed in benchmark");
-      identical = identical && decoded == symbols[s];
-    }
-  });
-  gate_identity(failures, "huffman/decode_slab", identical);
-  const double slab_ns_per_symbol = dec.simd_ns / static_cast<double>(count);
+  const auto dec = run_with_reference(
+      "huffman/decode_slab", quick ? 5 : 7, bytes,
+      [&] {
+        for (std::size_t s = 0; s < slabs; ++s) {
+          const auto status =
+              lcp::sz::huffman_decode_into(blobs[s], kSlab, decoded);
+          LCP_REQUIRE(status.is_ok(),
+                      "huffman slab decode failed in benchmark");
+          identical = identical && decoded == symbols[s];
+        }
+      },
+      [&] {
+        for (const auto& blob : blobs) {
+          const auto status =
+              lcp::sz::reference::huffman_decode_into(blob, kSlab, decoded);
+          LCP_REQUIRE(status.is_ok(),
+                      "reference slab decode failed in benchmark");
+        }
+      });
+  gate_identity(failures, "huffman/decode_slab", identical,
+                "from the encoder's input");
+  const double slab_ns_per_symbol =
+      dec.library_ns / static_cast<double>(count);
   const double relative = whole_ns_per_symbol / slab_ns_per_symbol;
   std::printf("  huffman/decode_slab: %.2fx the whole-field per-symbol rate\n",
               relative);
@@ -540,10 +595,9 @@ void bench_huffman(bool quick, std::vector<std::string>& failures) {
   const lcp::sz::LinearQuantizer quantizer{1e-3};
   std::vector<std::uint32_t> symbols;
   std::vector<std::uint32_t> exact;
-  std::vector<float> grid;
   lcp::sz::predict_quantize_fused(field.values(), field.dims().extents(),
                                   lcp::sz::SzPredictor::kFirstOrder, quantizer,
-                                  symbols, exact, grid);
+                                  symbols, exact);
   const std::size_t count = symbols.size();
   const std::size_t bytes = count * sizeof(std::uint32_t);
 
@@ -552,24 +606,37 @@ void bench_huffman(bool quick, std::vector<std::string>& failures) {
     blob = lcp::sz::huffman_encode(symbols, quantizer.alphabet_size());
   });
 
+  // The decoder has no dispatch: it is timed at the level the host runs,
+  // against the single-symbol reference decoder it replaced.
   std::vector<std::uint32_t> decoded;
-  const auto dec = run_paired("huffman/decode", quick ? 5 : 7, bytes, [&] {
-    const auto status = lcp::sz::huffman_decode_into(blob, count, decoded);
-    LCP_REQUIRE(status.is_ok() && decoded.size() == count,
-                "huffman decode failed in benchmark");
-  });
-  gate_speedup(failures, "huffman/decode", dec, quick ? 1.5 : 2.0);
-  // Identity: both dispatch levels reproduce the encoder's input exactly.
-  {
-    std::vector<std::uint32_t> decoded_s;
-    lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kScalar};
-    const auto status = lcp::sz::huffman_decode_into(blob, count, decoded_s);
-    gate_identity(failures, "huffman/decode",
-                  status.is_ok() && decoded_s == symbols &&
-                      decoded == symbols);
+  std::vector<std::uint32_t> oracle;
+  const auto dec = run_with_reference(
+      "huffman/decode", quick ? 5 : 7, bytes,
+      [&] {
+        const auto status = lcp::sz::huffman_decode_into(blob, count, decoded);
+        LCP_REQUIRE(status.is_ok() && decoded.size() == count,
+                    "huffman decode failed in benchmark");
+      },
+      [&] {
+        const auto status =
+            lcp::sz::reference::huffman_decode_into(blob, count, oracle);
+        LCP_REQUIRE(status.is_ok() && oracle.size() == count,
+                    "reference huffman decode failed in benchmark");
+      });
+  const double min_speedup = quick ? 1.5 : 2.0;
+  if (dec.speedup() < min_speedup) {
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "huffman/decode is %.2fx the reference decoder, below the "
+                  "%.2fx gate",
+                  dec.speedup(), min_speedup);
+    failures.emplace_back(buf);
   }
+  gate_identity(failures, "huffman/decode",
+                decoded == oracle && decoded == symbols,
+                "from the reference decoder");
   bench_huffman_slabs(quick, failures,
-                      dec.simd_ns / static_cast<double>(count));
+                      dec.library_ns / static_cast<double>(count));
 }
 
 void bench_bitstream(bool quick) {

@@ -585,6 +585,8 @@ Expected<data::Field> read_checkpoint(std::span<const std::uint8_t> bytes) {
       return c.status.with_context("read_checkpoint");
     }
   }
+  LCP_RETURN_IF_ERROR(
+      check_frame_layout(bytes, *rec).with_context("read_checkpoint"));
   // Whole-payload CRC: confirms the chunk walk reassembled exactly what
   // the writer hashed.
   std::uint32_t state = kCrc32cInit;

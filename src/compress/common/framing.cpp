@@ -108,6 +108,29 @@ Status validate_info(const FrameInfo& info, std::span<const std::uint8_t> bytes,
   return Status::ok();
 }
 
+/// The strict readers' end-of-frame rule: the trailer replica occupies the
+/// last kFrameTrailerBytes of `bytes` and agrees with `header` field for
+/// field.
+Status check_trailer(std::span<const std::uint8_t> bytes,
+                     const FrameInfo& header) {
+  if (bytes.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
+    return Status::corrupt_data("framed stream shorter than header+trailer");
+  }
+  auto trailer = parse_record_at(bytes, bytes.size() - kFrameTrailerBytes,
+                                 kTrailerMagic);
+  if (!trailer) {
+    return trailer.status().with_context("frame trailer");
+  }
+  if (header.version != trailer->version || header.flags != trailer->flags ||
+      header.chunk_count != trailer->chunk_count ||
+      header.chunk_bytes != trailer->chunk_bytes ||
+      header.payload_bytes != trailer->payload_bytes ||
+      header.payload_crc != trailer->payload_crc) {
+    return Status::corrupt_data("frame trailer disagrees with header");
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 FramedWriter::FramedWriter(FrameParams params) : params_(params) {
@@ -244,22 +267,7 @@ Expected<std::vector<std::uint8_t>> read_framed(
     return header.status().with_context("frame header");
   }
   LCP_RETURN_IF_ERROR(validate_info(*header, bytes));
-  if (bytes.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
-    return Status::corrupt_data("framed stream shorter than header+trailer");
-  }
-  auto trailer = parse_record_at(bytes, bytes.size() - kFrameTrailerBytes,
-                                 kTrailerMagic);
-  if (!trailer) {
-    return trailer.status().with_context("frame trailer");
-  }
-  if (header->version != trailer->version ||
-      header->flags != trailer->flags ||
-      header->chunk_count != trailer->chunk_count ||
-      header->chunk_bytes != trailer->chunk_bytes ||
-      header->payload_bytes != trailer->payload_bytes ||
-      header->payload_crc != trailer->payload_crc) {
-    return Status::corrupt_data("frame trailer disagrees with header");
-  }
+  LCP_RETURN_IF_ERROR(check_trailer(bytes, *header));
 
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(header->payload_bytes));
@@ -363,6 +371,24 @@ std::vector<std::uint8_t> FrameRecovery::assemble_zero_filled() const {
               out.begin() + static_cast<std::ptrdiff_t>(offset));
   }
   return out;
+}
+
+Status check_frame_layout(std::span<const std::uint8_t> bytes,
+                          const FrameRecovery& rec) {
+  LCP_RETURN_IF_ERROR(check_trailer(bytes, rec.info));
+  std::size_t pos = kFrameHeaderBytes;
+  for (const ChunkReport& c : rec.chunks) {
+    if (static_cast<std::size_t>(c.payload.data() - bytes.data()) !=
+        pos + kChunkHeaderBytes) {
+      return Status::corrupt_data("chunk out of place")
+          .with_context("chunk " + std::to_string(c.seq));
+    }
+    pos += kChunkHeaderBytes + c.payload.size();
+  }
+  if (pos != bytes.size() - kFrameTrailerBytes) {
+    return Status::corrupt_data("trailing garbage between chunks and trailer");
+  }
+  return Status::ok();
 }
 
 Expected<FrameRecovery> recover_framed(std::span<const std::uint8_t> bytes) {

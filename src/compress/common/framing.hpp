@@ -203,4 +203,12 @@ struct FrameRecovery {
 [[nodiscard]] Expected<FrameRecovery> recover_framed(
     std::span<const std::uint8_t> bytes);
 
+/// read_framed's layout rule for a recovery of `bytes` whose header was
+/// read at offset 0 and whose chunks are all intact: the chunks sit in
+/// sequence right after the header, and the trailer follows the last one,
+/// ends the stream and agrees with the header. Bytes past the frame — the
+/// tail of a longer file the frame was written over — fail it.
+[[nodiscard]] Status check_frame_layout(std::span<const std::uint8_t> bytes,
+                                        const FrameRecovery& rec);
+
 }  // namespace lcp::compress

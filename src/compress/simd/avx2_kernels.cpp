@@ -183,7 +183,7 @@ void predict_row_l2_3d(const std::int32_t* site, std::size_t plane,
 void encode_finish(const float* values, const std::int32_t* grid,
                    const std::int32_t* pred, std::size_t n,
                    const sz::PrequantParams& p, std::uint32_t* codes,
-                   float* decoded, std::vector<std::uint32_t>& exact) {
+                   std::vector<std::uint32_t>& exact) {
   const std::int32_t radius = static_cast<std::int32_t>(p.radius);
   const __m256i radius_v = _mm256_set1_epi32(radius);
   const __m256i one = _mm256_set1_epi32(1);
@@ -218,22 +218,19 @@ void encode_finish(const float* values, const std::int32_t* grid,
                     (~ok & 0xFF);
     if (bad == 0) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes + i), code);
-      _mm_storeu_ps(decoded + i, rec0);
-      _mm_storeu_ps(decoded + i + 4, rec1);
     } else {
       // Replay the whole group through the shared scalar helper so exact
       // values append in stream order; admitted lanes recompute to the
-      // same code/decoded the vector path produced.
+      // same code the vector path produced.
       for (std::size_t lane = 0; lane < 8; ++lane) {
         const std::size_t idx = i + lane;
         sz::encode_site(values[idx], grid[idx], pred[idx], p, codes[idx],
-                        decoded[idx], exact);
+                        exact);
       }
     }
   }
   for (; i < n; ++i) {
-    sz::encode_site(values[i], grid[i], pred[i], p, codes[i], decoded[i],
-                    exact);
+    sz::encode_site(values[i], grid[i], pred[i], p, codes[i], exact);
   }
 }
 

@@ -47,16 +47,16 @@ void predict_row_l2_3d(const std::int32_t* site, std::size_t plane,
                        std::size_t n2, std::size_t k0, std::size_t n,
                        std::int32_t* pred) noexcept;
 
-/// Flat finish pass: codes/decoded for all n sites from (values, grid,
-/// pred); exact raw bit patterns appended in stream order. Groups where
-/// every lane admits its code run fully vectorized; any group with a bail
-/// lane is replayed through sz::encode_site, which computes the identical
+/// Flat finish pass: codes for all n sites from (values, grid, pred);
+/// exact raw bit patterns appended in stream order. Groups where every
+/// lane admits its code run fully vectorized; any group with a bail lane
+/// is replayed through sz::encode_site, which computes the identical
 /// result for the non-bailing lanes. Requires radius <= kSimdMaxRadius
 /// (see pipeline.cpp) so the int32 lane arithmetic cannot wrap.
 void encode_finish(const float* values, const std::int32_t* grid,
                    const std::int32_t* pred, std::size_t n,
                    const sz::PrequantParams& p, std::uint32_t* codes,
-                   float* decoded, std::vector<std::uint32_t>& exact);
+                   std::vector<std::uint32_t>& exact);
 
 /// First-order telescoped row decode. Within a row the recurrence
 /// r[k] = C[k] + u[k], u[k] = u[k-1] + (code[k] - radius) holds, where the

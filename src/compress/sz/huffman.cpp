@@ -6,7 +6,6 @@
 
 #include "support/buffer_pool.hpp"
 #include "support/bytestream.hpp"
-#include "support/dispatch.hpp"
 
 namespace lcp::sz {
 namespace {
@@ -19,16 +18,11 @@ constexpr unsigned kMaxCodeLength = 32;
 /// the entry holds its index there.
 constexpr unsigned kInlineCodeBits = 24;
 
-/// Scalar decode table width: codes up to this many bits resolve with one
-/// table lookup; longer codes (rare tails of skewed histograms) fall back
-/// to the canonical per-length walk.
-constexpr unsigned kDecodeTableBits = 11;
-
-/// AVX2 multi-symbol window width. Its 2^12 x 8 B table fits L1 and
-/// costs little to build, and codes past it resolve with a few compares
-/// (long_code below). On a 4-vCPU Xeon VM this beat 13-, 14- and 16-bit
-/// windows at every stream size measured, from a 32 Ki-symbol checkpoint
-/// slab to a 2 Mi-symbol whole field.
+/// Decode window width. Its 2^12 x 8 B table fits L1 and costs little to
+/// build, and codes past it resolve with a few compares (long_code below).
+/// On a 4-vCPU Xeon VM this beat 13-, 14- and 16-bit windows at every
+/// stream size measured, from a 32 Ki-symbol checkpoint slab to a 2
+/// Mi-symbol whole field.
 constexpr unsigned kWideBits = 12;
 
 /// Per-length canonical tables, indexed by code length.
@@ -164,8 +158,8 @@ struct SymbolTableReset {
 /// canonical order rank by rank. Kraft bounds the total fill at 2^width
 /// slots. Entry layout (shared with the pair entries of the wide table):
 ///   bits  0..31  symbol
-///   bits 34..39  code length
-///   bits 40..45  code length (bits consumed when emitting this entry)
+///   bits 49..54  code length
+///   bits 55..60  code length (bits consumed when emitting this entry)
 ///   bits 62..63  symbols resolvable at this slot (1)
 void fill_single_entries(std::vector<std::uint64_t>& table, unsigned width,
                          unsigned max_len, const LengthTable& count_by_len,
@@ -178,7 +172,7 @@ void fill_single_entries(std::vector<std::uint64_t>& table, unsigned width,
       const std::uint64_t base = reverse_bits(first_code[len] + r, len);
       const std::uint64_t m =
           std::uint64_t{symbols_by_rank[first_index[len] + r]} |
-          (std::uint64_t{len} << 34) | (std::uint64_t{len} << 40) |
+          (std::uint64_t{len} << 49) | (std::uint64_t{len} << 55) |
           (std::uint64_t{1} << 62);
       for (std::size_t fill = 0; fill < fills; ++fill) {
         table[base | (fill << len)] = m;
@@ -447,252 +441,195 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
     }
   }
 
-  BitReader bits{*payload};
-  out.clear();
-  out.reserve(static_cast<std::size_t>(*count));
-
-  if (simd::simd_level() >= simd::SimdLevel::kAvx2 &&
-      *alphabet <= (std::uint32_t{1} << 17)) {
-    // Multi-symbol decode: each probe of the kWideBits window resolves up
-    // to two codes, and codes past the window take the limit search below
-    // instead of a bit-serial walk.
-    //
-    // Each slot packs into one 64-bit word (the loop is latency-bound on
-    // the serial peek -> table load -> skip chain, so the table must stay
-    // as small and line-aligned as possible — hence the 2^17 alphabet cap,
-    // which SZ's 17-bit quantizer alphabet always satisfies):
-    //   bits  0..16  first symbol
-    //   bits 17..33  second symbol
-    //   bits 34..39  bits consumed when emitting the first symbol only
-    //   bits 40..45  bits consumed when emitting both
-    //   bits 62..63  symbols resolvable at this slot (0-2)
-    //
-    // The table is built once per decode (pooled across calls, so
-    // steady-state decompression re-faults no pages): one pass writes the
-    // single-symbol entries and a second pass upgrades slots to pairs in
-    // place. The in-place upgrade is sound because pair entries preserve
-    // their own first-symbol and first-length fields, which is all the
-    // chaining read needs. Chaining two single-symbol lookups per slot is
-    // sound because for len0 + len1 <= window width the second lookup's
-    // index bits are all genuine stream bits; the same zero-padding past
-    // the end of the payload feeds both this loop and the classic one, so
-    // the success/corrupt verdicts are identical. Past twice the longest
-    // code a wider window pairs nothing more, so short codes get a
-    // smaller table.
-    const unsigned wide_bits = std::min(kWideBits, std::max(2 * max_len, 1U));
-    const std::size_t wide_slots = std::size_t{1} << wide_bits;
-    const std::uint64_t wide_mask = wide_slots - 1;
-    ScratchLease<std::uint64_t> mtable_lease;
-    auto& mtable = mtable_lease.get();
-    mtable.assign(wide_slots, 0);
-    fill_single_entries(mtable, wide_bits, max_len, count_by_len, first_code,
-                        first_index, symbols_by_rank);
-    for (std::size_t idx = 0; idx < wide_slots; ++idx) {
-      const std::uint64_t m1 = mtable[idx];
-      if (m1 == 0) {
-        continue;
-      }
-      const unsigned len0 = static_cast<unsigned>((m1 >> 34) & 63);
-      const std::uint64_t m2 = mtable[idx >> len0];
-      const unsigned len1 = static_cast<unsigned>((m2 >> 34) & 63);
-      if (m2 != 0 && len0 + len1 <= wide_bits) {
-        mtable[idx] = (m1 & 0x1FFFF) | ((m2 & 0x1FFFF) << 17) |
-                      (std::uint64_t{len0} << 34) |
-                      (std::uint64_t{len0 + len1} << 40) |
-                      (std::uint64_t{2} << 62);
-      }
-    }
-
-    // Codes longer than the window (or garbage) resolve by comparing the
-    // next 32 stream bits, read MSB-first, against each length's
-    // left-justified code limit: the canonical codes of lengths <= L tile
-    // [0, limit[L]) in order, so the code's length is the first L whose
-    // limit exceeds the window. A table miss means no code of at most
-    // wide_bits bits heads the window, so the search starts past it. The
-    // code is prefix-free (Kraft, checked above), so the match is the one
-    // the scalar path's bit-serial walk finds. Returns the code length, or
-    // 0 when no code matches.
-    LengthTable limit{};
-    for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
-      limit[l] = (first_code[l] + count_by_len[l]) << (kMaxCodeLength - l);
-    }
-    const auto long_code = [&](std::uint64_t window,
-                               std::uint32_t& symbol) noexcept {
-      const std::uint64_t v = reverse_bits(window, kMaxCodeLength);
-      unsigned len = wide_bits + 1;
-      while (len <= max_len && v >= limit[len]) {
-        ++len;
-      }
-      if (len > max_len) {
-        return 0U;
-      }
-      symbol = symbols_by_rank[first_index[len] +
-                               (v >> (kMaxCodeLength - len)) -
-                               first_code[len]];
-      return len;
-    };
-    // Checked form for the tail: past-the-end bits read as zero, and a
-    // match whose final bit lies past the end trips skip_bits exactly
-    // where the bit-serial walk would have tripped read_bits.
-    const auto decode_long = [&](std::uint32_t& symbol) noexcept {
-      const unsigned len = long_code(bits.peek_bits(kMaxCodeLength), symbol);
-      if (len == 0) {
-        return false;
-      }
-      bits.skip_bits(len);
-      return !bits.overflowed();
-    };
-
-    // The hot loop is a serial dependency chain (probe -> table load ->
-    // cursor advance -> next probe), so the body holds the pending stream
-    // bits in a register and refills it from memory only every few symbols
-    // (a refill banks >= 57 bits; one probe spends at most wide_bits).
-    // Everything else is branchless apart from the rare long-code
-    // fallback: both symbol slots store unconditionally, and running the
-    // loop only while two output slots remain (i + 1 < total) makes the
-    // advance and bit counts plain field extracts — a pair entry always
-    // consumes both symbols, so `total bits` is the consumption for every
-    // resolvable entry. While a full 8-byte refill window is in bounds
-    // every consumed bit is a genuine stream bit, so no overflow checks
-    // are needed; the last symbols and any long-code fallback run
-    // through the bounds-checked BitReader, synced to the register
-    // cursor's position on entry.
-    const std::uint64_t total = *count;
-    out.resize(static_cast<std::size_t>(total) + 1);
-    std::uint32_t* dst = out.data();
-    std::uint64_t i = 0;
-
-    const std::uint8_t* data = payload->data();
-    const std::size_t size = payload->size();
-    std::uint64_t buf = 0;  // stream bits [pos, pos + navail), LSB first
-    unsigned navail = 0;
-    std::uint64_t pos = 0;  // bits consumed, tracked ahead of `bits`
-
-    // Banks the stream bits from the cursor on; false within 8 bytes of
-    // the end, where the checked path finishes.
-    const auto refill = [&]() noexcept {
-      const auto byte = static_cast<std::size_t>(pos >> 3);
-      if (byte + sizeof(std::uint64_t) > size) {
-        return false;
-      }
-      std::uint64_t word;
-      std::memcpy(&word, data + byte, sizeof(word));
-      buf = word >> (pos & 7);
-      navail = 64 - static_cast<unsigned>(pos & 7);
-      return true;
-    };
-    while (i + 1 < total) {
-      if (navail < wide_bits && !refill()) {
-        break;
-      }
-      const std::uint64_t e = mtable[buf & wide_mask];
-      if (e == 0) {
-        // Long code: a fresh window makes all 32 searched bits genuine
-        // stream bits.
-        if (!refill()) {
-          break;
-        }
-        std::uint32_t symbol = 0;
-        const unsigned len = long_code(buf, symbol);
-        if (len == 0) {
-          return Status::corrupt_data("huffman: invalid code in stream");
-        }
-        dst[i] = symbol;
-        ++i;
-        buf >>= len;
-        navail -= len;
-        pos += len;
-        continue;
-      }
-      const auto consumed = static_cast<unsigned>((e >> 40) & 63);
-      dst[i] = static_cast<std::uint32_t>(e & 0x1FFFF);
-      dst[i + 1] = static_cast<std::uint32_t>((e >> 17) & 0x1FFFF);
-      buf >>= consumed;
-      navail -= consumed;
-      pos += consumed;
-      i += static_cast<std::uint64_t>(e >> 62);
-    }
-
-    // Tail (and corrupt-stream) path: same decode over the checked reader,
-    // with the overflow verdict deferred to one check after the loop.
-    // Deferring is sound because the flag is sticky and the loop always
-    // terminates (every iteration advances i); a stream that overflows
-    // decodes garbage past that point under either policy and returns the
-    // same corrupt verdict.
-    bits.skip_bits(pos - bits.bit_position());
-    while (i < total) {
-      const std::uint64_t e =
-          mtable[bits.peek_fixed<kWideBits>() & wide_mask];
-      const auto resolved = static_cast<unsigned>(e >> 62);
-      if (resolved == 0) {
-        std::uint32_t symbol = UINT32_MAX;
-        if (!decode_long(symbol)) {
-          return Status::corrupt_data("huffman: invalid code in stream");
-        }
-        dst[i] = symbol;
-        ++i;
-        continue;
-      }
-      const std::uint64_t advance = (resolved == 2 && i + 2 <= total) ? 2 : 1;
-      const std::uint64_t consumed =
-          advance == 2 ? ((e >> 40) & 63) : ((e >> 34) & 63);
-      dst[i] = static_cast<std::uint32_t>(e & 0x1FFFF);
-      dst[i + 1] = static_cast<std::uint32_t>((e >> 17) & 0x1FFFF);
-      bits.skip_bits(consumed);
-      i += advance;
-    }
-    if (bits.overflowed()) {
-      return Status::corrupt_data("huffman: invalid code in stream");
-    }
-    out.resize(static_cast<std::size_t>(total));
-    return Status::ok();
-  }
-
-  // Scalar path: single-symbol entries over the next kDecodeTableBits
-  // stream bits. The stream carries codes MSB-first but the reader returns
-  // the first stream bit in the LSB, so entries are indexed by the reversed
-  // code with every possible fill of the remaining high bits.
-  std::vector<std::uint64_t> table(std::size_t{1} << kDecodeTableBits, 0);
-  fill_single_entries(table, kDecodeTableBits, max_len, count_by_len,
-                      first_code, first_index, symbols_by_rank);
-
-  // Codes past the table width take the canonical walk one read_bit at a
-  // time.
-  const auto decode_slow = [&](std::uint32_t& symbol) noexcept {
-    std::uint64_t acc = 0;
-    unsigned len = 0;
-    symbol = UINT32_MAX;
-    while (len < max_len) {
-      acc = (acc << 1) | (bits.read_bit() ? 1u : 0u);
-      ++len;
-      if (count_by_len[len] == 0) {
-        continue;
-      }
-      const std::uint64_t offset = acc - first_code[len];
-      if (acc >= first_code[len] && offset < count_by_len[len]) {
-        symbol = symbols_by_rank[first_index[len] + offset];
-        break;
-      }
-    }
-    return symbol != UINT32_MAX && !bits.overflowed();
-  };
-
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const std::uint64_t entry = table[bits.peek_bits(kDecodeTableBits)];
-    if (entry != 0) {
-      bits.skip_bits((entry >> 34) & 63);
-      if (bits.overflowed()) {
-        return Status::corrupt_data("huffman: invalid code in stream");
-      }
-      out.push_back(static_cast<std::uint32_t>(entry));
+  // Multi-symbol decode: each probe of the kWideBits window resolves up
+  // to two codes, and codes past the window take the limit search below
+  // instead of a bit-serial walk.
+  //
+  // Each slot packs into one 64-bit word (the loop is latency-bound on
+  // the serial peek -> table load -> skip chain, so the table must stay
+  // as small and line-aligned as possible):
+  //   bits  0..31  first symbol
+  //   bits 32..48  second symbol (pairs; zero in single entries)
+  //   bits 49..54  bits consumed when emitting the first symbol only
+  //   bits 55..60  bits consumed when emitting every symbol of the slot
+  //   bits 62..63  symbols resolvable at this slot (0-2)
+  // Pairs need every used symbol to fit the 17-bit second field, which
+  // SZ's quantizer alphabet always does; a stream using a larger symbol
+  // keeps single entries, which the same loop reads unchanged.
+  //
+  // The table is built once per decode (pooled across calls, so
+  // steady-state decompression re-faults no pages): one pass writes the
+  // single-symbol entries and a second pass upgrades slots to pairs in
+  // place. The in-place upgrade is sound because pair entries preserve
+  // their own first-symbol and first-length fields, which is all the
+  // chaining read needs. Chaining two single-symbol lookups per slot is
+  // sound because for len0 + len1 <= window width the second lookup's
+  // index bits are all genuine stream bits, and past the end of the
+  // payload both lookups see the same zero padding a one-symbol-at-a-time
+  // decode sees, so the success/corrupt verdicts are that decode's. Past
+  // twice the longest code a wider window pairs nothing more, so short
+  // codes get a smaller table.
+  const bool pairs = code_runs.empty() ||
+                     code_runs.back().first_symbol + code_runs.back().count <=
+                         (std::uint32_t{1} << 17);
+  const unsigned wide_bits = std::min(kWideBits, std::max(2 * max_len, 1U));
+  const std::size_t wide_slots = std::size_t{1} << wide_bits;
+  const std::uint64_t wide_mask = wide_slots - 1;
+  ScratchLease<std::uint64_t> mtable_lease;
+  auto& mtable = mtable_lease.get();
+  mtable.assign(wide_slots, 0);
+  fill_single_entries(mtable, wide_bits, max_len, count_by_len, first_code,
+                      first_index, symbols_by_rank);
+  for (std::size_t idx = 0; pairs && idx < wide_slots; ++idx) {
+    const std::uint64_t m1 = mtable[idx];
+    if (m1 == 0) {
       continue;
     }
-    std::uint32_t symbol = UINT32_MAX;
-    if (!decode_slow(symbol)) {
-      return Status::corrupt_data("huffman: invalid code in stream");
+    const unsigned len0 = static_cast<unsigned>((m1 >> 49) & 63);
+    const std::uint64_t m2 = mtable[idx >> len0];
+    const unsigned len1 = static_cast<unsigned>((m2 >> 49) & 63);
+    if (m2 != 0 && len0 + len1 <= wide_bits) {
+      mtable[idx] = (m1 & 0xFFFFFFFF) | ((m2 & 0x1FFFF) << 32) |
+                    (std::uint64_t{len0} << 49) |
+                    (std::uint64_t{len0 + len1} << 55) |
+                    (std::uint64_t{2} << 62);
     }
-    out.push_back(symbol);
   }
+
+  // Codes longer than the window (or garbage) resolve by comparing the
+  // next 32 stream bits, read MSB-first, against each length's
+  // left-justified code limit: the canonical codes of lengths <= L tile
+  // [0, limit[L]) in order, so the code's length is the first L whose
+  // limit exceeds the window. A table miss means no code of at most
+  // wide_bits bits heads the window, so the search starts past it. The
+  // code is prefix-free (Kraft, checked above), so the match is the one a
+  // bit-serial canonical walk finds. Returns the code length, or 0 when
+  // no code matches.
+  LengthTable limit{};
+  for (unsigned l = 1; l <= kMaxCodeLength; ++l) {
+    limit[l] = (first_code[l] + count_by_len[l]) << (kMaxCodeLength - l);
+  }
+  const auto long_code = [&](std::uint64_t window,
+                             std::uint32_t& symbol) noexcept {
+    const std::uint64_t v = reverse_bits(window, kMaxCodeLength);
+    unsigned len = wide_bits + 1;
+    while (len <= max_len && v >= limit[len]) {
+      ++len;
+    }
+    if (len > max_len) {
+      return 0U;
+    }
+    symbol = symbols_by_rank[first_index[len] + (v >> (kMaxCodeLength - len)) -
+                             first_code[len]];
+    return len;
+  };
+
+  // The hot loop is a serial dependency chain (probe -> table load ->
+  // cursor advance -> next probe), so the body holds the pending stream
+  // bits in a register and refills it from memory only every few symbols
+  // (a refill banks >= 57 bits; one probe spends at most wide_bits).
+  // Everything else is branchless apart from the rare long-code
+  // fallback: both symbol slots store unconditionally, and running the
+  // loop only while two output slots remain (i + 1 < total) makes the
+  // advance and bit counts plain field extracts — a pair entry always
+  // consumes both symbols, so `total bits` is the consumption for every
+  // resolvable entry. While a full 8-byte refill window is in bounds
+  // every consumed bit is a genuine stream bit, so no overflow checks
+  // are needed; the last symbols and any long-code fallback run
+  // through the bounds-checked BitReader, synced to the register
+  // cursor's position on entry.
+  const std::uint64_t total = *count;
+  out.resize(static_cast<std::size_t>(total) + 1);
+  std::uint32_t* dst = out.data();
+  std::uint64_t i = 0;
+
+  const std::uint8_t* data = payload->data();
+  const std::size_t size = payload->size();
+  std::uint64_t buf = 0;  // stream bits [pos, pos + navail), LSB first
+  unsigned navail = 0;
+  std::uint64_t pos = 0;  // bits consumed
+
+  // Banks the stream bits from the cursor on; false within 8 bytes of
+  // the end, where the checked path finishes.
+  const auto refill = [&]() noexcept {
+    const auto byte = static_cast<std::size_t>(pos >> 3);
+    if (byte + sizeof(std::uint64_t) > size) {
+      return false;
+    }
+    std::uint64_t word;
+    std::memcpy(&word, data + byte, sizeof(word));
+    buf = word >> (pos & 7);
+    navail = 64 - static_cast<unsigned>(pos & 7);
+    return true;
+  };
+  while (i + 1 < total) {
+    if (navail < wide_bits && !refill()) {
+      break;
+    }
+    const std::uint64_t e = mtable[buf & wide_mask];
+    if (e == 0) {
+      // Long code: a fresh window makes all 32 searched bits genuine
+      // stream bits.
+      if (!refill()) {
+        break;
+      }
+      std::uint32_t symbol = 0;
+      const unsigned len = long_code(buf, symbol);
+      if (len == 0) {
+        return Status::corrupt_data("huffman: invalid code in stream");
+      }
+      dst[i] = symbol;
+      ++i;
+      buf >>= len;
+      navail -= len;
+      pos += len;
+      continue;
+    }
+    const auto consumed = static_cast<unsigned>((e >> 55) & 63);
+    dst[i] = static_cast<std::uint32_t>(e);
+    dst[i + 1] = static_cast<std::uint32_t>((e >> 32) & 0x1FFFF);
+    buf >>= consumed;
+    navail -= consumed;
+    pos += consumed;
+    i += static_cast<std::uint64_t>(e >> 62);
+  }
+
+  // Tail (and corrupt-stream) path: same decode over the checked reader,
+  // with the overflow verdict deferred to one check after the loop.
+  // Deferring is sound because the flag is sticky and the loop always
+  // terminates (every iteration advances i); a stream that overflows
+  // decodes garbage past that point under either policy and returns the
+  // same corrupt verdict. A long-code match whose final bit lies past the
+  // end trips skip_bits exactly where a bit-serial walk would trip its
+  // read.
+  BitReader bits{*payload};
+  bits.skip_bits(pos);
+  while (i < total) {
+    const std::uint64_t e = mtable[bits.peek_fixed<kWideBits>() & wide_mask];
+    const auto resolved = static_cast<unsigned>(e >> 62);
+    if (resolved == 0) {
+      std::uint32_t symbol = 0;
+      const unsigned len = long_code(bits.peek_bits(kMaxCodeLength), symbol);
+      bits.skip_bits(len);
+      if (len == 0 || bits.overflowed()) {
+        return Status::corrupt_data("huffman: invalid code in stream");
+      }
+      dst[i] = symbol;
+      ++i;
+      continue;
+    }
+    const std::uint64_t advance = (resolved == 2 && i + 2 <= total) ? 2 : 1;
+    const std::uint64_t consumed =
+        advance == 2 ? ((e >> 55) & 63) : ((e >> 49) & 63);
+    dst[i] = static_cast<std::uint32_t>(e);
+    dst[i + 1] = static_cast<std::uint32_t>((e >> 32) & 0x1FFFF);
+    bits.skip_bits(consumed);
+    i += advance;
+  }
+  if (bits.overflowed()) {
+    return Status::corrupt_data("huffman: invalid code in stream");
+  }
+  out.resize(static_cast<std::size_t>(total));
   return Status::ok();
 }
 

@@ -6,9 +6,10 @@
 // flattening), derive canonical codes, serialize the length table with RLE,
 // then emit the symbol stream. Decoding parses the RLE runs of used
 // symbols, rebuilds the canonical tables from them and decodes through a
-// lookup table (two symbols per probe under AVX2), resolving codes longer
-// than the table from the canonical tables. Table work follows the
-// symbols used, not the alphabet size.
+// 12-bit lookup table that resolves up to two symbols per probe, resolving
+// codes longer than the table from the canonical tables. One plain C++
+// decoder serves every dispatch level and alphabet size. Table work
+// follows the symbols used, not the alphabet size.
 
 #include <cstdint>
 #include <span>

@@ -341,11 +341,9 @@ void predict_quantize_fused(std::span<const float> values,
                             SzPredictor predictor,
                             const LinearQuantizer& quantizer,
                             std::vector<std::uint32_t>& codes,
-                            std::vector<std::uint32_t>& exact,
-                            std::vector<float>& decoded) {
+                            std::vector<std::uint32_t>& exact) {
   const std::size_t n = values.size();
   codes.resize(n);
-  decoded.assign(n, 0.0F);
   if (n == 0) {
     return;
   }
@@ -365,7 +363,7 @@ void predict_quantize_fused(std::span<const float> values,
     simd::avx2::prequantize(values.data(), n, p.inv_step, grid.data());
     predict_fill_avx2(grid.data(), ext, predictor, pred.data());
     simd::avx2::encode_finish(values.data(), grid.data(), pred.data(), n, p,
-                              codes.data(), decoded.data(), exact);
+                              codes.data(), exact);
     return;
   }
 #endif
@@ -374,7 +372,7 @@ void predict_quantize_fused(std::span<const float> values,
   }
   predict_fill_scalar(grid.data(), ext, predictor, pred.data());
   for (std::size_t i = 0; i < n; ++i) {
-    encode_site(values[i], grid[i], pred[i], p, codes[i], decoded[i], exact);
+    encode_site(values[i], grid[i], pred[i], p, codes[i], exact);
   }
 }
 

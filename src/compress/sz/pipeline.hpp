@@ -30,15 +30,13 @@ enum class SzPredictor : std::uint8_t {
 
 /// Runs prediction+quantization over the field in row-major order.
 /// Fills `codes` (one per element) and appends to `exact` (raw bits of
-/// unpredictable samples, in stream order). `decoded` is resized and
-/// carries the decoder-visible values.
+/// unpredictable samples, in stream order).
 void predict_quantize_fused(std::span<const float> values,
                             std::span<const std::size_t> ext,
                             SzPredictor predictor,
                             const LinearQuantizer& quantizer,
                             std::vector<std::uint32_t>& codes,
-                            std::vector<std::uint32_t>& exact,
-                            std::vector<float>& decoded);
+                            std::vector<std::uint32_t>& exact);
 
 /// Inverse pass: rebuilds `decoded` (sized to the element count by the
 /// caller) from quantization codes and the exact-value side stream.

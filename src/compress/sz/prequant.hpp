@@ -83,11 +83,9 @@ struct PrequantParams {
 /// The encode-side admission test: can `value` travel as grid index `r`?
 /// True only when the float32 reconstruction honours the bound. Identical
 /// operation order to the AVX2 lane test (mul_pd, cvtpd_ps, fabs, cmp).
-[[nodiscard]] inline bool reconstruction_in_bound(std::int32_t r, float value,
-                                                  const PrequantParams& p,
-                                                  float& recon) noexcept {
+[[nodiscard]] inline bool reconstruction_in_bound(
+    std::int32_t r, float value, const PrequantParams& p) noexcept {
   const float rec = dequantize(r, p.step);
-  recon = rec;
   return std::fabs(static_cast<double>(rec) - static_cast<double>(value)) <=
          p.eb;
 }
@@ -100,19 +98,14 @@ struct PrequantParams {
 /// lane test computes, so mixing the two paths cannot change the bytes.
 inline void encode_site(float value, std::int32_t r, std::int64_t pred,
                         const PrequantParams& p, std::uint32_t& code_out,
-                        float& decoded_out,
                         std::vector<std::uint32_t>& exact) {
   const std::int64_t q = static_cast<std::int64_t>(r) - pred;
   const std::int64_t radius = static_cast<std::int64_t>(p.radius);
-  float recon = 0.0F;
-  if (q > -radius && q < radius &&
-      reconstruction_in_bound(r, value, p, recon)) {
+  if (q > -radius && q < radius && reconstruction_in_bound(r, value, p)) {
     code_out = static_cast<std::uint32_t>(q + radius);
-    decoded_out = recon;
   } else {
     code_out = 0;
     exact.push_back(std::bit_cast<std::uint32_t>(value));
-    decoded_out = value;
   }
 }
 

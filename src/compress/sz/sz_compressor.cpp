@@ -108,12 +108,10 @@ Expected<compress::CompressResult> SzCompressor::compress(
   const std::size_t n_elements = field.element_count();
   ScratchLease<std::uint32_t> codes_lease{n_elements};
   ScratchLease<std::uint32_t> exact_lease;
-  ScratchLease<float> decoded_lease{n_elements};
   auto& codes = codes_lease.get();
   auto& exact = exact_lease.get();
-  auto& decoded = decoded_lease.get();
   predict_quantize_fused(work, ext, options_.predictor, quantizer, codes,
-                         exact, decoded);
+                         exact);
 
   auto huffman = huffman_encode(codes, quantizer.alphabet_size());
   std::vector<std::uint8_t> entropy_blob;

@@ -1,7 +1,7 @@
 #pragma once
 // SIMD dispatch for the hot kernels: the codec kernels (SZ
-// prequant/Lorenzo, Huffman decode, byte shuffle, zlite) and the
-// integrity checksums (SSE4.2 CRC32C, 8-lane FNV-1a; support/checksum.hpp).
+// prequant/Lorenzo, byte shuffle, zlite) and the integrity checksums
+// (SSE4.2 CRC32C, 8-lane FNV-1a; support/checksum.hpp).
 //
 // Resolution order: the level is kAvx2 only when (a) the AVX2 translation
 // units were compiled into this binary (x86-64 build with a -mavx2-capable
@@ -12,9 +12,9 @@
 //
 // Every vector kernel has a scalar twin producing bit-identical bytes:
 // the quantization grid, quantization codes, exact-value side stream,
-// Huffman symbol stream, shuffled planes and checksums are all equal under
-// either level, so framing/checkpoint/replica invariants never depend on
-// the host's instruction set. simd_identity_test pins this across codec x
+// shuffled planes and checksums are all equal under either level, so
+// framing/checkpoint/replica invariants never depend on the host's
+// instruction set. simd_identity_test pins this across codec x
 // rank x bound x size; checksum_test pins the checksums.
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "compress/common/checkpoint.hpp"
@@ -339,6 +340,45 @@ TEST(CheckpointTest, TruncatedCheckpointRecoversLeadingSlabs) {
   for (std::size_t s = 2; s < report->slabs.size(); ++s) {
     EXPECT_FALSE(report->slabs[s].recovered) << s;
   }
+}
+
+TEST(CheckpointTest, StrictReadRejectsStaleBytesPastTheFrame) {
+  // A smaller checkpoint written in place over a larger one leaves the old
+  // file's tail behind the new frame. Both strict readers reject it by the
+  // same rule (the trailer must end the stream and agree with the header);
+  // recovery still returns every slab of the new frame.
+  const auto old_field = make_field(64 * 1024);
+  const auto new_field = make_field(8 * 1024);
+  auto old_bytes = write_checkpoint(old_field, small_chunks());
+  auto new_bytes = write_checkpoint(new_field, small_chunks());
+  ASSERT_TRUE(old_bytes.has_value());
+  ASSERT_TRUE(new_bytes.has_value());
+  ASSERT_LT(new_bytes->size(), old_bytes->size());
+  std::vector<std::uint8_t> overwritten = *old_bytes;
+  std::copy(new_bytes->begin(), new_bytes->end(), overwritten.begin());
+
+  ASSERT_TRUE(read_checkpoint(*new_bytes).has_value());
+  auto strict = read_checkpoint(overwritten);
+  ASSERT_FALSE(strict.has_value());
+  EXPECT_EQ(strict.status().code(), ErrorCode::kCorruptData);
+  auto framed = read_framed(overwritten);
+  ASSERT_FALSE(framed.has_value());
+  EXPECT_EQ(framed.status().code(), ErrorCode::kCorruptData);
+
+  auto report = recover_checkpoint(overwritten);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  EXPECT_EQ(report->recovered_slabs(), report->slabs.size());
+  ASSERT_EQ(report->field.element_count(), new_field.element_count());
+  EXPECT_TRUE(std::equal(new_field.values().begin(), new_field.values().end(),
+                         report->field.values().begin()));
+
+  // Stray bytes between the last chunk and a trailer that still ends the
+  // stream fail the same rule.
+  std::vector<std::uint8_t> padded = *new_bytes;
+  padded.insert(padded.end() - static_cast<std::ptrdiff_t>(kFrameTrailerBytes),
+                3, std::uint8_t{0});
+  EXPECT_FALSE(read_checkpoint(padded).has_value());
+  EXPECT_FALSE(read_framed(padded).has_value());
 }
 
 TEST(CheckpointTest, RejectsNonCheckpointFrames) {

@@ -14,6 +14,8 @@
 #include "support/dispatch.hpp"
 #include "support/rng.hpp"
 
+#include "huffman_reference.hpp"
+
 namespace lcp::sz {
 namespace {
 
@@ -151,9 +153,8 @@ TEST(HuffmanTest, GeometricHistogramYieldsPathTreeDepths) {
 
 TEST(HuffmanTest, DeepCodesBeyondDecodeTableRoundTrip) {
   // The geometric histogram produces code lengths up to 15 bits — past the
-  // scalar decoder's 11-bit table and the AVX2 decoder's 12-bit window —
-  // so this round-trip exercises the long-code path alongside the table
-  // fast path.
+  // decoder's 12-bit window — so this round-trip exercises the long-code
+  // search alongside the table fast path.
   constexpr std::size_t kSymbols = 16;
   std::vector<std::uint32_t> symbols;
   for (std::uint32_t s = 0; s < kSymbols; ++s) {
@@ -305,9 +306,15 @@ std::vector<std::uint8_t> encode_with_lengths(
   return out.finish();
 }
 
-/// Decodes `blob` at both dispatch levels; each must return `symbols`.
+/// Decodes `blob` at both dispatch levels and with the reference decoder;
+/// each must return `symbols`.
 void expect_decodes_at_both_levels(const std::vector<std::uint8_t>& blob,
                                    const std::vector<std::uint32_t>& symbols) {
+  std::vector<std::uint32_t> expected;
+  const auto ref = reference::huffman_decode_into(blob, symbols.size(),
+                                                  expected);
+  ASSERT_TRUE(ref.is_ok()) << ref.to_string();
+  EXPECT_EQ(expected, symbols);
   for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     ScopedSimdLevel guard{level};
     SCOPED_TRACE(simd::simd_level_name(simd::simd_level()));
@@ -315,6 +322,16 @@ void expect_decodes_at_both_levels(const std::vector<std::uint8_t>& blob,
     const auto status = huffman_decode_into(blob, symbols.size(), out);
     ASSERT_TRUE(status.is_ok()) << status.to_string();
     EXPECT_EQ(out, symbols);
+  }
+}
+
+/// `blob` must be rejected at both dispatch levels and by the reference.
+void expect_rejected(const std::vector<std::uint8_t>& blob) {
+  std::vector<std::uint32_t> out;
+  EXPECT_FALSE(reference::huffman_decode_into(blob, UINT64_MAX, out).is_ok());
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    ScopedSimdLevel guard{level};
+    EXPECT_FALSE(huffman_decode(blob).has_value());
   }
 }
 
@@ -387,6 +404,35 @@ TEST(HuffmanTest, SparseAlphabetsRoundTripAtBothLevels) {
   }
 }
 
+TEST(HuffmanTest, SymbolsPast17BitsRoundTripAtBothLevels) {
+  // Decode-table pairs hold their second symbol in a 17-bit field, so a
+  // stream whose largest symbol reaches 2^17 keeps single entries. Each case spans its top
+  // symbol down to symbol 0 with a skewed spread, so short and long codes
+  // both occur, on either side of the pairing boundary.
+  constexpr std::uint32_t kBoundary = std::uint32_t{1} << 17;
+  Rng rng{505};
+  for (const auto& [alphabet, top] :
+       {std::pair{kBoundary, kBoundary - 1},
+        std::pair{kBoundary + 1, kBoundary},
+        std::pair{(std::uint32_t{1} << 20) + 3, std::uint32_t{1} << 20},
+        std::pair{std::uint32_t{1} << 24, (std::uint32_t{1} << 24) - 1}}) {
+    for (std::size_t count : {std::size_t{1}, std::size_t{1000},
+                              std::size_t{1} << 15}) {
+      SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " count " +
+                   std::to_string(count));
+      std::vector<std::uint32_t> symbols(count);
+      for (auto& s : symbols) {
+        const double u = rng.uniform();
+        s = top - static_cast<std::uint32_t>(u * u * u * u *
+                                             static_cast<double>(top));
+      }
+      symbols[count / 2] = top;
+      expect_decodes_at_both_levels(huffman_encode(symbols, alphabet),
+                                    symbols);
+    }
+  }
+}
+
 TEST(HuffmanTest, CodesLongerThan24BitsEncodeCanonically) {
   // Fibonacci counts over 28 symbols give one code of every length up to
   // 27 bits, so the encoder takes its long-code path (codes past 24 bits
@@ -416,9 +462,9 @@ TEST(HuffmanTest, CodesLongerThan24BitsEncodeCanonically) {
 
 TEST(HuffmanTest, CodeLengthsUpTo32BitsDecodeAtBothLevels) {
   // One symbol of every length 1..31 plus two of length 32: a complete
-  // code whose lengths straddle the scalar 11-bit table and the AVX2
-  // 12-bit window and reach the 32-bit cap. Symbols are drawn uniformly,
-  // so long codes are as common as short ones.
+  // code whose lengths straddle the 12-bit decode window and reach the
+  // 32-bit cap. Symbols are drawn uniformly, so long codes are as common
+  // as short ones.
   std::vector<std::uint8_t> lengths(kSzAlphabet, 0);
   for (unsigned l = 1; l <= 32; ++l) {
     lengths[1000 + 1900 * l] = static_cast<std::uint8_t>(l);
@@ -467,10 +513,7 @@ TEST(HuffmanTest, DecodeRejectsOverSubscribedLengths) {
   lengths[9] = 1;
   const std::vector<std::uint32_t> symbols = {2, 5, 2, 2};
   const auto blob = encode_with_lengths(lengths, symbols);
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    ScopedSimdLevel guard{level};
-    EXPECT_FALSE(huffman_decode(blob).has_value());
-  }
+  expect_rejected(blob);
 }
 
 TEST(HuffmanTest, DecodeRejectsMoreCodesThanSymbols) {
@@ -481,10 +524,7 @@ TEST(HuffmanTest, DecodeRejectsMoreCodesThanSymbols) {
   lengths[5] = 2;
   lengths[9] = 2;
   const auto blob = encode_with_lengths(lengths, {2, 5});
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    ScopedSimdLevel guard{level};
-    EXPECT_FALSE(huffman_decode(blob).has_value());
-  }
+  expect_rejected(blob);
 }
 
 TEST(HuffmanTest, DecodeRejectsCountBeyondPayloadBits) {
@@ -496,10 +536,7 @@ TEST(HuffmanTest, DecodeRejectsCountBeyondPayloadBits) {
   for (int b = 0; b < 8; ++b) {
     blob[4 + b] = static_cast<std::uint8_t>(claimed >> (8 * b));
   }
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    ScopedSimdLevel guard{level};
-    EXPECT_FALSE(huffman_decode(blob).has_value());
-  }
+  expect_rejected(blob);
 }
 
 }  // namespace

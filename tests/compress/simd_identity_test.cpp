@@ -2,9 +2,10 @@
 // bit-identical bytes and bit-identical reconstructions under either
 // dispatch level. This is the contract that keeps container framing,
 // checkpoint dedup and replica verification independent of the host's
-// instruction set (see docs/simd_kernels.md). Tests skip on hosts (or
-// under LCP_FORCE_SCALAR=1) where only one level is reachable — there is
-// nothing to compare.
+// instruction set (see docs/simd_kernels.md). Kernel tests skip on hosts
+// (or under LCP_FORCE_SCALAR=1) where only one level is reachable — there
+// is nothing to compare. The Huffman tests compare against the reference
+// decoder instead, so they run everywhere.
 
 #include <cmath>
 #include <cstring>
@@ -26,6 +27,8 @@
 #include "support/bitstream.hpp"
 #include "support/dispatch.hpp"
 #include "support/rng.hpp"
+
+#include "huffman_reference.hpp"
 
 namespace {
 
@@ -187,29 +190,28 @@ TEST(SimdIdentityTest, FusedPipelineHandlesNonFiniteIdentically) {
   const lcp::sz::LinearQuantizer quantizer{1e-3};
 
   std::vector<std::uint32_t> codes_s, exact_s, codes_v, exact_v;
-  std::vector<float> grid_s, grid_v;
   {
     ScopedSimdLevel guard{SimdLevel::kScalar};
     lcp::sz::predict_quantize_fused(values, extents,
                                     lcp::sz::SzPredictor::kFirstOrder,
-                                    quantizer, codes_s, exact_s, grid_s);
+                                    quantizer, codes_s, exact_s);
   }
   {
     ScopedSimdLevel guard{SimdLevel::kAvx2};
     lcp::sz::predict_quantize_fused(values, extents,
                                     lcp::sz::SzPredictor::kFirstOrder,
-                                    quantizer, codes_v, exact_v, grid_v);
+                                    quantizer, codes_v, exact_v);
   }
   EXPECT_EQ(codes_s, codes_v);
   EXPECT_EQ(exact_s, exact_v);
-  ASSERT_EQ(grid_s.size(), grid_v.size());
-  EXPECT_EQ(std::memcmp(grid_s.data(), grid_v.data(),
-                        grid_s.size() * sizeof(float)),
-            0);
 }
 
+/// Symbols shaped like quantization codes: a two-sided geometric spread
+/// around `center`.
 std::vector<std::uint32_t> quantizer_shaped_symbols(std::size_t count,
-                                                    unsigned seed) {
+                                                    unsigned seed,
+                                                    std::uint32_t center =
+                                                        32768) {
   lcp::Rng rng{seed};
   std::vector<std::uint32_t> symbols(count);
   for (auto& s : symbols) {
@@ -217,43 +219,80 @@ std::vector<std::uint32_t> quantizer_shaped_symbols(std::size_t count,
     while (delta < 300 && rng.uniform() < 0.9) {
       ++delta;
     }
-    s = static_cast<std::uint32_t>(32768 + (rng.uniform() < 0.5 ? -delta
-                                                                : delta));
+    s = static_cast<std::uint32_t>(center + (rng.uniform() < 0.5 ? -delta
+                                                                 : delta));
   }
   return symbols;
 }
 
-TEST(SimdIdentityTest, HuffmanRoundTripMatchesAcrossLevels) {
-  SKIP_WITHOUT_AVX2();
-  const auto symbols = quantizer_shaped_symbols(50000, 5);
-  std::vector<std::uint8_t> blob_s, blob_v;
-  {
-    ScopedSimdLevel guard{SimdLevel::kScalar};
-    blob_s = lcp::sz::huffman_encode(symbols, 65537);
-  }
-  {
-    ScopedSimdLevel guard{SimdLevel::kAvx2};
-    blob_v = lcp::sz::huffman_encode(symbols, 65537);
-  }
-  ASSERT_EQ(blob_s, blob_v);
+// The Huffman decoder has no dispatch; these suites hold it to the
+// single-symbol reference decoder (huffman_reference.hpp) at every level
+// the host reaches, so they run on scalar-only hosts too. Alphabet 65537
+// is SZ's default quantizer alphabet, whose symbols pair in the decode
+// table; (1 << 20) + 3 centres the symbols past 2^17, where the decoder
+// keeps single-symbol entries.
+constexpr std::uint32_t kPairedAlphabet = 65537;
+constexpr std::uint32_t kWideAlphabet = (1U << 20) + 3;
 
+/// Decodes `blob` with the library at both dispatch levels and with the
+/// reference: every verdict must be the reference's, and every decode
+/// that succeeds must return the reference's symbols.
+void expect_matches_reference(const std::vector<std::uint8_t>& blob,
+                              std::uint64_t max_count) {
+  std::vector<std::uint32_t> expected;
+  const bool ok_ref =
+      lcp::sz::reference::huffman_decode_into(blob, max_count, expected)
+          .is_ok();
   for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     ScopedSimdLevel guard{level};
-    auto decoded = lcp::sz::huffman_decode(blob_s, symbols.size());
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, symbols);
-    std::vector<std::uint32_t> into;
-    ASSERT_TRUE(
-        lcp::sz::huffman_decode_into(blob_s, symbols.size(), into).is_ok());
-    EXPECT_EQ(into, symbols);
+    SCOPED_TRACE(lcp::simd::simd_level_name(lcp::simd::simd_level()));
+    std::vector<std::uint32_t> out;
+    const bool ok =
+        lcp::sz::huffman_decode_into(blob, max_count, out).is_ok();
+    EXPECT_EQ(ok, ok_ref);
+    if (ok && ok_ref) {
+      EXPECT_EQ(out, expected);  // decoded garbage must at least agree
+    }
   }
 }
 
-// Fibonacci-weighted frequencies force code lengths past the 16-bit wide
-// window, so the AVX2 decoder's long-code fallback runs; results must
-// still match the scalar decoder symbol for symbol.
+TEST(SimdIdentityTest, HuffmanRoundTripMatchesAcrossLevels) {
+  for (std::uint32_t alphabet : {kPairedAlphabet, kWideAlphabet}) {
+    SCOPED_TRACE("alphabet " + std::to_string(alphabet));
+    const auto symbols = quantizer_shaped_symbols(50000, 5, alphabet / 2);
+    std::vector<std::uint8_t> blob_s, blob_v;
+    {
+      ScopedSimdLevel guard{SimdLevel::kScalar};
+      blob_s = lcp::sz::huffman_encode(symbols, alphabet);
+    }
+    {
+      ScopedSimdLevel guard{SimdLevel::kAvx2};
+      blob_v = lcp::sz::huffman_encode(symbols, alphabet);
+    }
+    ASSERT_EQ(blob_s, blob_v);
+
+    std::vector<std::uint32_t> expected;
+    ASSERT_TRUE(lcp::sz::reference::huffman_decode_into(
+                    blob_s, symbols.size(), expected)
+                    .is_ok());
+    ASSERT_EQ(expected, symbols);
+    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+      ScopedSimdLevel guard{level};
+      auto decoded = lcp::sz::huffman_decode(blob_s, symbols.size());
+      ASSERT_TRUE(decoded.has_value());
+      EXPECT_EQ(*decoded, symbols);
+      std::vector<std::uint32_t> into;
+      ASSERT_TRUE(
+          lcp::sz::huffman_decode_into(blob_s, symbols.size(), into).is_ok());
+      EXPECT_EQ(into, symbols);
+    }
+  }
+}
+
+// Fibonacci-weighted frequencies force code lengths past the 12-bit
+// decode window, so the long-code search runs; results must still match
+// the reference decoder symbol for symbol.
 TEST(SimdIdentityTest, LongCodesDecodeIdentically) {
-  SKIP_WITHOUT_AVX2();
   constexpr std::size_t kSymbols = 28;
   std::vector<std::uint32_t> stream;
   std::uint64_t fa = 1;
@@ -271,57 +310,54 @@ TEST(SimdIdentityTest, LongCodesDecodeIdentically) {
   for (std::size_t i = stream.size(); i > 1; --i) {
     std::swap(stream[i - 1], stream[rng.next_u64() % i]);
   }
-  const auto blob = lcp::sz::huffman_encode(stream, kSymbols);
-  std::vector<std::uint32_t> decoded_s, decoded_v;
-  {
-    ScopedSimdLevel guard{SimdLevel::kScalar};
-    ASSERT_TRUE(
-        lcp::sz::huffman_decode_into(blob, stream.size(), decoded_s).is_ok());
+  // The same stream over a small alphabet (pairs) and shifted past 2^17
+  // (single entries).
+  for (std::uint32_t offset : {0U, kWideAlphabet / 2}) {
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    std::vector<std::uint32_t> shifted = stream;
+    for (auto& s : shifted) {
+      s += offset;
+    }
+    const auto blob = lcp::sz::huffman_encode(
+        shifted, offset == 0 ? static_cast<std::uint32_t>(kSymbols)
+                             : kWideAlphabet);
+    std::vector<std::uint32_t> expected;
+    ASSERT_TRUE(lcp::sz::reference::huffman_decode_into(blob, shifted.size(),
+                                                        expected)
+                    .is_ok());
+    EXPECT_EQ(expected, shifted);
+    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+      ScopedSimdLevel guard{level};
+      std::vector<std::uint32_t> decoded;
+      ASSERT_TRUE(
+          lcp::sz::huffman_decode_into(blob, shifted.size(), decoded).is_ok());
+      EXPECT_EQ(decoded, shifted);
+    }
   }
-  {
-    ScopedSimdLevel guard{SimdLevel::kAvx2};
-    ASSERT_TRUE(
-        lcp::sz::huffman_decode_into(blob, stream.size(), decoded_v).is_ok());
-  }
-  EXPECT_EQ(decoded_s, stream);
-  EXPECT_EQ(decoded_v, stream);
 }
 
-// Corrupt streams must draw the same ok/error verdict at both levels: the
-// wide-window decoder defers its overflow check but may not change the
-// outcome.
+// Corrupt streams must draw the reference decoder's ok/error verdict at
+// both levels: the wide-window decoder defers its overflow check but may
+// not change the outcome.
 TEST(SimdIdentityTest, CorruptStreamsSameVerdictAcrossLevels) {
-  SKIP_WITHOUT_AVX2();
-  const auto symbols = quantizer_shaped_symbols(20000, 9);
-  const auto blob = lcp::sz::huffman_encode(symbols, 65537);
-  std::vector<std::vector<std::uint8_t>> variants;
-  variants.emplace_back(blob.begin(), blob.begin() + blob.size() / 2);
-  variants.emplace_back(blob.begin(), blob.begin() + blob.size() - 3);
-  {
-    auto flipped = blob;
-    for (std::size_t i = flipped.size() / 2; i < flipped.size(); i += 7) {
-      flipped[i] ^= 0xFF;
-    }
-    variants.push_back(std::move(flipped));
-  }
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    SCOPED_TRACE("variant " + std::to_string(v));
-    bool ok_s = false;
-    bool ok_v = false;
-    std::vector<std::uint32_t> out_s, out_v;
+  for (std::uint32_t alphabet : {kPairedAlphabet, kWideAlphabet}) {
+    const auto symbols = quantizer_shaped_symbols(20000, 9, alphabet / 2);
+    const auto blob = lcp::sz::huffman_encode(symbols, alphabet);
+    std::vector<std::vector<std::uint8_t>> variants;
+    variants.push_back(blob);
+    variants.emplace_back(blob.begin(), blob.begin() + blob.size() / 2);
+    variants.emplace_back(blob.begin(), blob.begin() + blob.size() - 3);
     {
-      ScopedSimdLevel guard{SimdLevel::kScalar};
-      ok_s = lcp::sz::huffman_decode_into(variants[v], symbols.size(), out_s)
-                 .is_ok();
+      auto flipped = blob;
+      for (std::size_t i = flipped.size() / 2; i < flipped.size(); i += 7) {
+        flipped[i] ^= 0xFF;
+      }
+      variants.push_back(std::move(flipped));
     }
-    {
-      ScopedSimdLevel guard{SimdLevel::kAvx2};
-      ok_v = lcp::sz::huffman_decode_into(variants[v], symbols.size(), out_v)
-                 .is_ok();
-    }
-    EXPECT_EQ(ok_s, ok_v);
-    if (ok_s && ok_v) {
-      EXPECT_EQ(out_s, out_v);  // decoded garbage must at least agree
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " variant " +
+                   std::to_string(v));
+      expect_matches_reference(variants[v], symbols.size());
     }
   }
 }
@@ -331,70 +367,55 @@ TEST(SimdIdentityTest, CorruptStreamsSameVerdictAcrossLevels) {
 // garbage payloads, wrong symbol counts and length tables turned over- or
 // under-subscribed.
 TEST(SimdIdentityTest, CorruptSizedStreamsSameVerdictAcrossLevels) {
-  SKIP_WITHOUT_AVX2();
   lcp::Rng rng{41};
-  for (std::size_t count : {std::size_t{1} << 15, std::size_t{300000}}) {
-    const auto symbols = quantizer_shaped_symbols(count, 13);
-    const auto blob = lcp::sz::huffman_encode(symbols, 65537);
-    std::uint32_t runs = 0;
-    std::memcpy(&runs, blob.data() + 12, sizeof(runs));
-    const std::size_t table_end = 16 + 5 * std::size_t{runs};
-    const std::size_t payload_start = table_end + 8;
+  for (std::uint32_t alphabet : {kPairedAlphabet, kWideAlphabet}) {
+    for (std::size_t count : {std::size_t{1} << 15, std::size_t{300000}}) {
+      const auto symbols = quantizer_shaped_symbols(count, 13, alphabet / 2);
+      const auto blob = lcp::sz::huffman_encode(symbols, alphabet);
+      std::uint32_t runs = 0;
+      std::memcpy(&runs, blob.data() + 12, sizeof(runs));
+      const std::size_t table_end = 16 + 5 * std::size_t{runs};
+      const std::size_t payload_start = table_end + 8;
 
-    std::vector<std::vector<std::uint8_t>> variants;
-    for (std::size_t cut = 0; cut < blob.size(); cut += blob.size() / 23) {
-      variants.emplace_back(blob.begin(),
-                            blob.begin() + static_cast<std::ptrdiff_t>(cut));
-    }
-    for (int k = 0; k < 16; ++k) {
-      auto flipped = blob;
-      flipped[rng.uniform_index(flipped.size())] ^= 0xFF;
-      variants.push_back(std::move(flipped));
-    }
-    {
-      auto garbage = blob;
-      for (std::size_t i = payload_start; i < garbage.size(); ++i) {
-        garbage[i] = static_cast<std::uint8_t>(rng.next_u64());
+      std::vector<std::vector<std::uint8_t>> variants;
+      for (std::size_t cut = 0; cut < blob.size(); cut += blob.size() / 23) {
+        variants.emplace_back(blob.begin(),
+                              blob.begin() + static_cast<std::ptrdiff_t>(cut));
       }
-      variants.push_back(std::move(garbage));
-    }
-    for (std::uint64_t claimed : {std::uint64_t{count} + 1,
-                                  std::uint64_t{count} - 1,
-                                  std::uint64_t{count} * 2}) {
-      auto recounted = blob;
-      std::memcpy(recounted.data() + 4, &claimed, sizeof(claimed));
-      variants.push_back(std::move(recounted));
-    }
-    for (std::uint8_t len : {std::uint8_t{1}, std::uint8_t{20}}) {
-      auto relengthed = blob;
-      for (std::size_t r = 16; r < table_end; r += 5) {
-        if (relengthed[r] != 0) {
-          relengthed[r] = len;  // first code-bearing run
-          break;
+      for (int k = 0; k < 16; ++k) {
+        auto flipped = blob;
+        flipped[rng.uniform_index(flipped.size())] ^= 0xFF;
+        variants.push_back(std::move(flipped));
+      }
+      {
+        auto garbage = blob;
+        for (std::size_t i = payload_start; i < garbage.size(); ++i) {
+          garbage[i] = static_cast<std::uint8_t>(rng.next_u64());
         }
+        variants.push_back(std::move(garbage));
       }
-      variants.push_back(std::move(relengthed));
-    }
+      for (std::uint64_t claimed : {std::uint64_t{count} + 1,
+                                    std::uint64_t{count} - 1,
+                                    std::uint64_t{count} * 2}) {
+        auto recounted = blob;
+        std::memcpy(recounted.data() + 4, &claimed, sizeof(claimed));
+        variants.push_back(std::move(recounted));
+      }
+      for (std::uint8_t len : {std::uint8_t{1}, std::uint8_t{20}}) {
+        auto relengthed = blob;
+        for (std::size_t r = 16; r < table_end; r += 5) {
+          if (relengthed[r] != 0) {
+            relengthed[r] = len;  // first code-bearing run
+            break;
+          }
+        }
+        variants.push_back(std::move(relengthed));
+      }
 
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      SCOPED_TRACE("count " + std::to_string(count) + " variant " +
-                   std::to_string(v));
-      std::vector<std::uint32_t> out_s, out_v;
-      bool ok_s = false;
-      bool ok_v = false;
-      {
-        ScopedSimdLevel guard{SimdLevel::kScalar};
-        ok_s = lcp::sz::huffman_decode_into(variants[v], 4 * count, out_s)
-                   .is_ok();
-      }
-      {
-        ScopedSimdLevel guard{SimdLevel::kAvx2};
-        ok_v = lcp::sz::huffman_decode_into(variants[v], 4 * count, out_v)
-                   .is_ok();
-      }
-      EXPECT_EQ(ok_s, ok_v);
-      if (ok_s && ok_v) {
-        EXPECT_EQ(out_s, out_v);
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " count " +
+                     std::to_string(count) + " variant " + std::to_string(v));
+        expect_matches_reference(variants[v], 4 * count);
       }
     }
   }
