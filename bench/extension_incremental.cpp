@@ -87,7 +87,7 @@ int main() {
   const power::Workload compress_w =
       core::workload_from_calibration(full_cal, spec);
   const power::Workload write_w = io::transit_workload(
-      spec, core::dump_bytes(full_cal, 0).compressed, transit);
+      spec, core::dump_bytes(full_cal), transit);
   const auto incremental_plan = [&](const tuning::IncrementalDumpSpec& inc) {
     return tuning::compare(
         spec, tuning::incremental_dump_stages(compress_w, write_w, inc),

@@ -68,7 +68,7 @@ int main() {
   const core::Calibration full = core::scale_to_volume(*cal, volume);
   const power::Workload compress_w = core::workload_from_calibration(full, spec);
   const power::Workload write_w = io::transit_workload(
-      spec, core::dump_bytes(full, 0).compressed, transit);
+      spec, core::dump_bytes(full), transit);
 
   CsvWriter csv{{"pipeline_depth", "workers", "runtime_serial_s",
                  "runtime_overlap_s", "energy_serial_j", "energy_overlap_j",

@@ -1005,10 +1005,11 @@ void bench_dump_write(bool quick, std::vector<std::string>& failures) {
 }
 
 /// read_checkpoint of NYX 96^3 (SZ 1e-2, default slab size) on the shared
-/// team against the same walk inline on the calling thread. The inline
-/// row skips read_checkpoint's whole-payload CRC pass, so it is if
-/// anything the faster of the two by that pass. Reps interleave the two
-/// and keep each one's best, like the paired kernels.
+/// team against the same walk inline on the calling thread. Both rows run
+/// read_framed, the one strict frame walk (chunk CRCs and the
+/// whole-payload CRC), then decode every slab, so they differ only by the
+/// pool. Reps interleave the two and keep each one's best, like the
+/// paired kernels.
 void bench_restore(bool quick, std::vector<std::string>& failures) {
   const auto field = lcp::data::generate_nyx(96, 5);
   const std::size_t bytes = field.element_count() * sizeof(float);
@@ -1022,8 +1023,8 @@ void bench_restore(bool quick, std::vector<std::string>& failures) {
   strict.fail_on_any_loss = true;
 
   const auto read_inline = [&] {
-    auto rec = lcp::compress::recover_framed(*ckpt);
-    LCP_REQUIRE(rec.has_value(), "recover_framed failed in restore bench");
+    auto rec = lcp::compress::read_framed(*ckpt);
+    LCP_REQUIRE(rec.has_value(), "read_framed failed in restore bench");
     auto report = lcp::compress::decode_slabs(
         layout,
         [&rec](std::size_t s) {

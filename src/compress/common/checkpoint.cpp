@@ -10,7 +10,6 @@
 #include "compress/common/registry.hpp"
 #include "support/buffer_pool.hpp"
 #include "support/bytestream.hpp"
-#include "support/checksum.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -57,8 +56,9 @@ Expected<SlabLayout> parse_manifest(std::span<const std::uint8_t> bytes) {
 /// Decodes a walked checkpoint frame: manifest (or its replica), then every
 /// slab through decode_slabs on the shared team, with the frame chunks as
 /// the slab source.
-/// Shared by recover_checkpoint and read_checkpoint, so the strict reader
-/// walks and checksums the frame only once.
+/// Shared by recover_checkpoint (after recover_framed) and read_checkpoint
+/// (after read_framed, the one strict walk), so each reader walks and
+/// checksums the frame once.
 Expected<RecoveryReport> decode_checkpoint(const FrameRecovery& rec,
                                            const RecoveryPolicy& policy) {
   if ((rec.info.flags & kFrameFlagCheckpoint) == 0) {
@@ -521,9 +521,7 @@ Expected<std::vector<std::uint8_t>> write_checkpoint(
   for (const auto& container : parked) {
     body += kChunkHeaderBytes + container.size();
   }
-  FrameParams params;
-  params.flags = kFrameFlagCheckpoint;
-  FramedWriter writer{params};
+  FramedWriter writer{kFrameFlagCheckpoint};
   writer.reserve(body);
   writer.append_chunk(*manifest_bytes);
   for (auto& container : parked) {
@@ -572,32 +570,10 @@ Expected<RecoveryReport> recover_checkpoint(
 }
 
 Expected<data::Field> read_checkpoint(std::span<const std::uint8_t> bytes) {
-  auto rec = recover_framed(bytes);
+  auto rec = read_framed(bytes);
   if (!rec) {
     return rec.status().with_context("read_checkpoint");
   }
-  if (rec->header_from_replica) {
-    return Status::corrupt_data("frame header damaged")
-        .with_context("read_checkpoint");
-  }
-  for (const auto& c : rec->chunks) {
-    if (c.state != ChunkState::kIntact) {
-      return c.status.with_context("read_checkpoint");
-    }
-  }
-  LCP_RETURN_IF_ERROR(
-      check_frame_layout(bytes, *rec).with_context("read_checkpoint"));
-  // Whole-payload CRC: confirms the chunk walk reassembled exactly what
-  // the writer hashed.
-  std::uint32_t state = kCrc32cInit;
-  for (const auto& c : rec->chunks) {
-    state = crc32c_update(state, c.payload);
-  }
-  if (crc32c_finish(state) != rec->info.payload_crc) {
-    return Status::corrupt_data("payload crc mismatch")
-        .with_context("read_checkpoint");
-  }
-
   RecoveryPolicy strict;
   strict.fail_on_any_loss = true;
   auto report = decode_checkpoint(*rec, strict);

@@ -240,11 +240,10 @@ using SlabSource = std::function<SlabBytes(std::size_t slab)>;
 [[nodiscard]] Expected<RecoveryReport> recover_checkpoint(
     std::span<const std::uint8_t> bytes, const RecoveryPolicy& policy = {});
 
-/// Strict decode: every chunk and every slab must verify and decode, and
-/// the frame must end exactly at the end of `bytes` (read_framed's layout
-/// rule, check_frame_layout); equivalent to recover_checkpoint with zero
-/// tolerance, but cheaper in the happy path and with whole-payload CRC
-/// confirmation. Slabs decode on shared_pool().
+/// Strict decode: read_framed, the one strict frame walk (every chunk
+/// intact and in place, the frame ending exactly at the end of `bytes`,
+/// the whole-payload CRC confirmed), then every slab must decode. Slabs
+/// decode on shared_pool().
 [[nodiscard]] Expected<data::Field> read_checkpoint(
     std::span<const std::uint8_t> bytes);
 

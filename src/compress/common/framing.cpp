@@ -37,7 +37,7 @@ std::vector<std::uint8_t> header_body(const FrameInfo& info) {
   w.write_u8(info.flags);
   w.write_u16(0);  // reserved
   w.write_u32(info.chunk_count);
-  w.write_u64(info.chunk_bytes);
+  w.write_u64(0);  // nominal chunk size: none, chunks are variable-length
   w.write_u64(info.payload_bytes);
   w.write_u32(info.payload_crc);
   return w.finish();
@@ -74,11 +74,14 @@ Expected<FrameInfo> parse_record_at(std::span<const std::uint8_t> bytes,
   info.flags = *r.read_u8();
   (void)*r.read_u16();  // reserved
   info.chunk_count = *r.read_u32();
-  info.chunk_bytes = *r.read_u64();
+  const std::uint64_t nominal_chunk_bytes = *r.read_u64();
   info.payload_bytes = *r.read_u64();
   info.payload_crc = *r.read_u32();
   if (info.version != kFrameVersion) {
     return Status::unsupported("unknown frame version");
+  }
+  if (nominal_chunk_bytes != 0) {
+    return Status::unsupported("byte-split frame (nominal chunk size set)");
   }
   return info;
 }
@@ -96,68 +99,47 @@ Status validate_info(const FrameInfo& info, std::span<const std::uint8_t> bytes,
   if (!allow_truncated && info.payload_bytes > bytes.size()) {
     return Status::corrupt_data("frame payload larger than stream");
   }
-  if (info.chunk_bytes > 0) {
-    const std::uint64_t expected =
-        info.payload_bytes == 0
-            ? 0
-            : (info.payload_bytes + info.chunk_bytes - 1) / info.chunk_bytes;
-    if (expected != info.chunk_count) {
-      return Status::corrupt_data("frame chunk count inconsistent with sizes");
-    }
-  }
   return Status::ok();
 }
 
-/// The strict readers' end-of-frame rule: the trailer replica occupies the
-/// last kFrameTrailerBytes of `bytes` and agrees with `header` field for
-/// field.
-Status check_trailer(std::span<const std::uint8_t> bytes,
-                     const FrameInfo& header) {
-  if (bytes.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
-    return Status::corrupt_data("framed stream shorter than header+trailer");
+/// The one header lookup behind probe_frame and recover_framed: the head
+/// record if it parses and passes validate_info, else the trailer replica
+/// in the last kFrameTrailerBytes of `bytes`. Fails with the head's error
+/// when neither copy is usable. The result's chunks are left empty.
+Expected<FrameRecovery> locate_header(std::span<const std::uint8_t> bytes,
+                                      bool allow_truncated) {
+  FrameRecovery rec;
+  auto head = parse_record_at(bytes, 0, kFrameMagic);
+  const Status head_status =
+      head ? validate_info(*head, bytes, allow_truncated) : head.status();
+  if (head_status.is_ok()) {
+    rec.info = *head;
+    return rec;
   }
-  auto trailer = parse_record_at(bytes, bytes.size() - kFrameTrailerBytes,
-                                 kTrailerMagic);
-  if (!trailer) {
-    return trailer.status().with_context("frame trailer");
+  if (bytes.size() >= kFrameTrailerBytes) {
+    auto tail = parse_record_at(bytes, bytes.size() - kFrameTrailerBytes,
+                                kTrailerMagic);
+    if (tail) {
+      LCP_RETURN_IF_ERROR(validate_info(*tail, bytes, allow_truncated));
+      rec.info = *tail;
+      rec.header_from_replica = true;
+      return rec;
+    }
   }
-  if (header.version != trailer->version || header.flags != trailer->flags ||
-      header.chunk_count != trailer->chunk_count ||
-      header.chunk_bytes != trailer->chunk_bytes ||
-      header.payload_bytes != trailer->payload_bytes ||
-      header.payload_crc != trailer->payload_crc) {
-    return Status::corrupt_data("frame trailer disagrees with header");
-  }
-  return Status::ok();
+  return head_status.with_context("frame header and trailer replica");
+}
+
+/// True when a CRC-valid trailer record that agrees with `info` starts at
+/// `pos`: the end of the frame `info` describes.
+bool trailer_at(std::span<const std::uint8_t> bytes, std::size_t pos,
+                const FrameInfo& info) {
+  auto trailer = parse_record_at(bytes, pos, kTrailerMagic);
+  return trailer && *trailer == info;
 }
 
 }  // namespace
 
-FramedWriter::FramedWriter(FrameParams params) : params_(params) {
-  LCP_REQUIRE(params_.chunk_bytes > 0, "frame chunk size must be positive");
-}
-
-void FramedWriter::append(std::span<const std::uint8_t> data) {
-  LCP_REQUIRE(mode_ != Mode::kChunks,
-              "FramedWriter: append after append_chunk");
-  mode_ = Mode::kBytes;
-  pending_.insert(pending_.end(), data.begin(), data.end());
-  while (pending_.size() >= params_.chunk_bytes) {
-    emit_chunk({pending_.data(), params_.chunk_bytes});
-    pending_.erase(pending_.begin(),
-                   pending_.begin() +
-                       static_cast<std::ptrdiff_t>(params_.chunk_bytes));
-  }
-}
-
 void FramedWriter::append_chunk(std::span<const std::uint8_t> data) {
-  LCP_REQUIRE(mode_ != Mode::kBytes,
-              "FramedWriter: append_chunk after append");
-  mode_ = Mode::kChunks;
-  emit_chunk(data);
-}
-
-void FramedWriter::emit_chunk(std::span<const std::uint8_t> data) {
   LCP_REQUIRE(chunks_ < kMaxFrameChunks, "frame chunk count exceeds limit");
   LCP_REQUIRE(data.size() <= UINT32_MAX, "frame chunk exceeds u32 length");
   const auto seq = chunks_;
@@ -181,15 +163,10 @@ std::vector<std::uint8_t> FramedWriter::take_emitted() {
 }
 
 FramedWriter::FrameTail FramedWriter::finish_streaming() {
-  if (!pending_.empty()) {
-    emit_chunk(pending_);
-    pending_.clear();
-  }
   FrameInfo info;
   info.version = kFrameVersion;
-  info.flags = params_.flags;
+  info.flags = flags_;
   info.chunk_count = chunks_;
-  info.chunk_bytes = mode_ == Mode::kChunks ? 0 : params_.chunk_bytes;
   info.payload_bytes = payload_;
   info.payload_crc = crc32c_finish(payload_crc_state_);
 
@@ -228,13 +205,6 @@ std::vector<std::uint8_t> FramedWriter::finish() {
   return out;
 }
 
-std::vector<std::uint8_t> frame_payload(std::span<const std::uint8_t> payload,
-                                        const FrameParams& params) {
-  FramedWriter writer{params};
-  writer.append(payload);
-  return writer.finish();
-}
-
 std::size_t frame_overhead_bytes(std::size_t payload_bytes,
                                  std::size_t chunk_bytes) {
   LCP_REQUIRE(chunk_bytes > 0, "frame chunk size must be positive");
@@ -244,35 +214,40 @@ std::size_t frame_overhead_bytes(std::size_t payload_bytes,
 }
 
 Expected<FrameInfo> probe_frame(std::span<const std::uint8_t> bytes) {
-  auto front = parse_record_at(bytes, 0, kFrameMagic);
-  if (front) {
-    LCP_RETURN_IF_ERROR(validate_info(*front, bytes));
-    return front;
+  auto located = locate_header(bytes, /*allow_truncated=*/false);
+  if (!located) {
+    return located.status();
   }
-  if (bytes.size() >= kFrameTrailerBytes) {
-    auto tail = parse_record_at(bytes, bytes.size() - kFrameTrailerBytes,
-                                kTrailerMagic);
-    if (tail) {
-      LCP_RETURN_IF_ERROR(validate_info(*tail, bytes));
-      return tail;
-    }
-  }
-  return front.status().with_context("frame header and trailer replica");
+  return located->info;
 }
 
-Expected<std::vector<std::uint8_t>> read_framed(
-    std::span<const std::uint8_t> bytes) {
+Expected<FrameRecovery> read_framed(std::span<const std::uint8_t> bytes) {
   auto header = parse_record_at(bytes, 0, kFrameMagic);
   if (!header) {
     return header.status().with_context("frame header");
   }
   LCP_RETURN_IF_ERROR(validate_info(*header, bytes));
-  LCP_RETURN_IF_ERROR(check_trailer(bytes, *header));
-
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(header->payload_bytes));
-  std::size_t pos = kFrameHeaderBytes;
+  if (bytes.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
+    return Status::corrupt_data("framed stream shorter than header+trailer");
+  }
   const std::size_t body_end = bytes.size() - kFrameTrailerBytes;
+  if (!trailer_at(bytes, body_end, *header)) {
+    return Status::corrupt_data(
+        "frame trailer damaged or disagrees with header");
+  }
+  // Every chunk needs at least its header in the body: a count the body
+  // cannot hold is rejected before the chunk list is allocated.
+  if (header->chunk_count >
+      (body_end - kFrameHeaderBytes) / kChunkHeaderBytes) {
+    return Status::corrupt_data("frame chunk count exceeds stream");
+  }
+
+  FrameRecovery rec;
+  rec.info = *header;
+  rec.chunks.resize(header->chunk_count);
+  std::uint32_t payload_crc_state = kCrc32cInit;
+  std::uint64_t payload_bytes = 0;
+  std::size_t pos = kFrameHeaderBytes;
   for (std::uint32_t seq = 0; seq < header->chunk_count; ++seq) {
     if (body_end - pos < kChunkHeaderBytes ||
         load_u32(bytes, pos) != kChunkMagic) {
@@ -295,19 +270,26 @@ Expected<std::vector<std::uint8_t>> read_framed(
       return Status::corrupt_data("chunk crc mismatch")
           .with_context("chunk " + std::to_string(seq));
     }
-    out.insert(out.end(), payload.begin(), payload.end());
+    // The whole-payload CRC runs chunk by chunk while the chunk is still
+    // in cache; the chunks are never concatenated.
+    payload_crc_state = crc32c_update(payload_crc_state, payload);
+    payload_bytes += length;
+    ChunkReport& chunk = rec.chunks[seq];
+    chunk.seq = seq;
+    chunk.state = ChunkState::kIntact;
+    chunk.payload = payload;
     pos += kChunkHeaderBytes + length;
   }
   if (pos != body_end) {
     return Status::corrupt_data("trailing garbage between chunks and trailer");
   }
-  if (out.size() != header->payload_bytes) {
+  if (payload_bytes != header->payload_bytes) {
     return Status::corrupt_data("frame payload size mismatch");
   }
-  if (crc32c(out) != header->payload_crc) {
+  if (crc32c_finish(payload_crc_state) != header->payload_crc) {
     return Status::corrupt_data("frame payload crc mismatch");
   }
-  return out;
+  return rec;
 }
 
 std::string_view chunk_state_name(ChunkState state) noexcept {
@@ -352,69 +334,12 @@ bool FrameRecovery::complete() const noexcept {
   return intact_chunks() == chunks.size();
 }
 
-std::vector<std::uint8_t> FrameRecovery::assemble_zero_filled() const {
-  if (info.chunk_bytes == 0) {
-    return {};  // variable-length chunks have no byte offsets
-  }
-  std::vector<std::uint8_t> out(
-      static_cast<std::size_t>(info.payload_bytes), 0);
-  for (const auto& c : chunks) {
-    if (c.state != ChunkState::kIntact) {
-      continue;
-    }
-    const std::uint64_t offset =
-        static_cast<std::uint64_t>(c.seq) * info.chunk_bytes;
-    if (offset > out.size() || c.payload.size() > out.size() - offset) {
-      continue;  // length validation should make this unreachable
-    }
-    std::copy(c.payload.begin(), c.payload.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(offset));
-  }
-  return out;
-}
-
-Status check_frame_layout(std::span<const std::uint8_t> bytes,
-                          const FrameRecovery& rec) {
-  LCP_RETURN_IF_ERROR(check_trailer(bytes, rec.info));
-  std::size_t pos = kFrameHeaderBytes;
-  for (const ChunkReport& c : rec.chunks) {
-    if (static_cast<std::size_t>(c.payload.data() - bytes.data()) !=
-        pos + kChunkHeaderBytes) {
-      return Status::corrupt_data("chunk out of place")
-          .with_context("chunk " + std::to_string(c.seq));
-    }
-    pos += kChunkHeaderBytes + c.payload.size();
-  }
-  if (pos != bytes.size() - kFrameTrailerBytes) {
-    return Status::corrupt_data("trailing garbage between chunks and trailer");
-  }
-  return Status::ok();
-}
-
 Expected<FrameRecovery> recover_framed(std::span<const std::uint8_t> bytes) {
-  FrameRecovery rec;
-  auto front = parse_record_at(bytes, 0, kFrameMagic);
-  if (front && validate_info(*front, bytes, /*allow_truncated=*/true).is_ok()) {
-    rec.info = *front;
-  } else {
-    // Head is damaged: fall back to the trailer replica. Without either
-    // copy the chunk layout is unknowable and recovery cannot start.
-    Expected<FrameInfo> tail =
-        Status::corrupt_data("stream shorter than a trailer");
-    if (bytes.size() >= kFrameTrailerBytes) {
-      tail = parse_record_at(bytes, bytes.size() - kFrameTrailerBytes,
-                             kTrailerMagic);
-    }
-    if (!tail) {
-      return Status::corrupt_data(
-                 "frame header and trailer replica both unreadable")
-          .with_context("recover_framed");
-    }
-    LCP_RETURN_IF_ERROR(validate_info(*tail, bytes, /*allow_truncated=*/true));
-    rec.info = *tail;
-    rec.header_from_replica = true;
+  auto located = locate_header(bytes, /*allow_truncated=*/true);
+  if (!located) {
+    return located.status().with_context("recover_framed");
   }
-
+  FrameRecovery rec = std::move(*located);
   rec.chunks.resize(rec.info.chunk_count);
   for (std::uint32_t i = 0; i < rec.info.chunk_count; ++i) {
     rec.chunks[i].seq = i;
@@ -427,20 +352,24 @@ Expected<FrameRecovery> recover_framed(std::span<const std::uint8_t> bytes) {
   // accepted only when its CRC verifies, which makes false resyncs on
   // magic-shaped payload bytes vanishingly unlikely; on any mismatch the
   // scan advances one byte (the candidate's own length field cannot be
-  // trusted).
+  // trusted). The walk ends at this frame's trailer: bytes past it belong
+  // to an older, longer file the frame was written over, whose CRC-valid
+  // chunks must not stand in for this frame's damaged ones.
   std::size_t pos = std::min<std::size_t>(kFrameHeaderBytes, bytes.size());
   while (bytes.size() - pos >= kChunkHeaderBytes) {
-    if (load_u32(bytes, pos) != kChunkMagic) {
+    const std::uint32_t magic = load_u32(bytes, pos);
+    if (magic == kTrailerMagic && trailer_at(bytes, pos, rec.info)) {
+      break;
+    }
+    if (magic != kChunkMagic) {
       ++pos;
       continue;
     }
     const std::uint32_t seq = load_u32(bytes, pos + 4);
     const std::uint32_t length = load_u32(bytes, pos + 8);
     const std::uint32_t stored_crc = load_u32(bytes, pos + 12);
-    const bool plausible =
-        seq < rec.info.chunk_count &&
-        length <= bytes.size() - pos - kChunkHeaderBytes &&
-        (rec.info.chunk_bytes == 0 || length <= rec.info.chunk_bytes);
+    const bool plausible = seq < rec.info.chunk_count &&
+                           length <= bytes.size() - pos - kChunkHeaderBytes;
     if (!plausible) {
       ++pos;
       continue;
@@ -462,27 +391,6 @@ Expected<FrameRecovery> recover_framed(std::span<const std::uint8_t> bytes) {
       rec.chunks[seq].status = Status::ok();
     }
     pos += kChunkHeaderBytes + length;
-  }
-
-  // Byte-mode length validation: an intact-CRC chunk whose length does
-  // not match its slot (a spliced chunk from another stream) is demoted.
-  if (rec.info.chunk_bytes > 0) {
-    for (auto& c : rec.chunks) {
-      if (c.state != ChunkState::kIntact) {
-        continue;
-      }
-      const std::uint64_t offset =
-          static_cast<std::uint64_t>(c.seq) * rec.info.chunk_bytes;
-      const std::uint64_t expected =
-          std::min<std::uint64_t>(rec.info.chunk_bytes,
-                                  rec.info.payload_bytes - offset);
-      if (c.payload.size() != expected) {
-        c.state = ChunkState::kCorrupt;
-        c.payload = {};
-        c.status = Status::corrupt_data("chunk length inconsistent with slot")
-                       .with_context("chunk " + std::to_string(c.seq));
-      }
-    }
   }
   return rec;
 }

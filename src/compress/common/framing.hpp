@@ -8,24 +8,36 @@
 //
 //   FramedStream := FrameHeader Chunk* FrameTrailer
 //   FrameHeader  := magic "LCPF" | version u8 | flags u8 | reserved u16 |
-//                   chunk_count u32 | nominal chunk_bytes u64 (0 = variable) |
+//                   chunk_count u32 | nominal chunk size u64 (always 0) |
 //                   payload_bytes u64 | payload_crc u32 | header_crc u32
 //   Chunk        := magic "LCFK" | seq u32 | length u32 | crc u32 |
 //                   bytes[length]
 //   FrameTrailer := magic "LCPT" | <same body and header_crc as FrameHeader>
+//
+// There is one frame mode: the writer emits each chunk explicitly, so
+// chunks have variable lengths. The nominal chunk size field is a relic of
+// a byte-split mode this format no longer has; writers put 0 there and
+// every reader rejects a non-zero value with a typed error.
 //
 // Each chunk's CRC32C covers its seq and length fields as well as its
 // payload, so header tampering trips the same check as payload corruption.
 // The trailer is a redundant replica of the header: a reader whose head
 // bytes are damaged can still learn the chunk layout from the tail.
 //
-// Two read paths:
-//   read_framed     — strict: every chunk in order, every CRC verified,
-//                     totals reconciled; any violation is a typed error.
+// Two read paths, both returning a FrameRecovery whose chunk spans borrow
+// from the input bytes:
+//   read_framed     — the one strict walk: header at offset 0, every chunk
+//                     in order with a verified CRC, the trailer right after
+//                     the last chunk, ending the stream and agreeing with
+//                     the header, and the whole-payload CRC; any violation
+//                     is a typed error.
 //   recover_framed  — graceful degradation: walks a damaged or truncated
-//                     stream, resynchronizes on chunk magics, and returns
-//                     every chunk whose CRC still verifies, plus a
-//                     per-chunk damage report.
+//                     stream, resynchronizes on chunk magics, and stops at
+//                     the first CRC-valid trailer that agrees with the
+//                     header, so the tail of an older, longer file the
+//                     frame was written over is never read. Returns every
+//                     chunk whose CRC still verifies, plus a per-chunk
+//                     damage report.
 
 #include <cstdint>
 #include <span>
@@ -57,41 +69,32 @@ inline constexpr std::uint8_t kFrameFlagJournal = 0x02;
 /// checked before any allocation. 2^20 chunks of 1 MiB covers a 1 TB dump.
 inline constexpr std::uint32_t kMaxFrameChunks = 1u << 20;
 
-struct FrameParams {
-  std::size_t chunk_bytes = 64 * 1024;  ///< byte-mode split size
-  std::uint8_t flags = 0;
-};
-
 /// Parsed frame header (or trailer replica) fields.
 struct FrameInfo {
   std::uint8_t version = kFrameVersion;
   std::uint8_t flags = 0;
   std::uint32_t chunk_count = 0;
-  std::uint64_t chunk_bytes = 0;  ///< nominal; 0 = variable-length chunks
   std::uint64_t payload_bytes = 0;
   std::uint32_t payload_crc = 0;
+
+  friend bool operator==(const FrameInfo&, const FrameInfo&) = default;
 };
 
-/// Streaming frame builder. Either feed bytes with append() (byte mode:
-/// the writer cuts nominal chunk_bytes chunks) or emit explicit chunks
-/// with append_chunk() (variable mode; the header's nominal size is 0).
-/// The two modes must not be mixed on one writer.
+/// Streaming frame builder: each append_chunk() emits one chunk. `flags`
+/// (kFrameFlag*) go into the header and trailer.
 class FramedWriter {
  public:
-  explicit FramedWriter(FrameParams params);
+  explicit FramedWriter(std::uint8_t flags = 0) : flags_(flags) {}
 
-  /// Byte-mode streaming: buffers and emits nominal-size chunks.
-  void append(std::span<const std::uint8_t> data);
-
-  /// Emits `data` as one explicit chunk (variable-length mode).
+  /// Emits `data` as one chunk.
   void append_chunk(std::span<const std::uint8_t> data);
 
   /// Reserves room for `bytes` more bytes past the chunks emitted so far:
   /// chunks that fit never reallocate.
   void reserve(std::size_t bytes) { body_.reserve(body_.size() + bytes); }
 
-  /// Flushes any pending bytes, writes header and trailer, and returns
-  /// the framed stream. The writer is spent afterwards.
+  /// Writes header and trailer around the chunks and returns the framed
+  /// stream. The writer is spent afterwards.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
   // --- Producer API (streaming writers) ---------------------------------
@@ -104,8 +107,7 @@ class FramedWriter {
   // header + drained bodies + tail.body + trailer concatenate to exactly
   // the bytes finish() would have produced (asserted in framing tests).
 
-  /// Moves out the chunk bytes emitted since the last drain. Pending
-  /// partial byte-mode chunks stay buffered until they fill or finish.
+  /// Moves out the chunk bytes emitted since the last drain.
   [[nodiscard]] std::vector<std::uint8_t> take_emitted();
 
   /// Terminal records of a streamed frame.
@@ -115,8 +117,8 @@ class FramedWriter {
     std::vector<std::uint8_t> trailer;  ///< kFrameTrailerBytes replica
   };
 
-  /// Flushes any pending bytes and seals the frame. The writer is spent
-  /// afterwards; the caller owns placing the three parts on the wire.
+  /// Seals the frame. The writer is spent afterwards; the caller owns
+  /// placing the three parts on the wire.
   [[nodiscard]] FrameTail finish_streaming();
 
   [[nodiscard]] std::uint32_t chunks_emitted() const noexcept {
@@ -127,43 +129,27 @@ class FramedWriter {
   }
 
  private:
-  enum class Mode : std::uint8_t { kUnset, kBytes, kChunks };
-
-  void emit_chunk(std::span<const std::uint8_t> data);
-
-  FrameParams params_;
-  Mode mode_ = Mode::kUnset;
+  std::uint8_t flags_;
   std::vector<std::uint8_t> body_;
-  std::vector<std::uint8_t> pending_;
   std::uint32_t chunks_ = 0;
   std::uint64_t payload_ = 0;
   std::uint32_t payload_crc_state_ = kCrc32cInit;
 };
 
-/// One-shot byte-mode framing of `payload`.
-[[nodiscard]] std::vector<std::uint8_t> frame_payload(
-    std::span<const std::uint8_t> payload, const FrameParams& params = {});
-
-/// Bytes the frame adds on top of `payload_bytes` at the given chunk size
-/// (header + trailer + per-chunk headers). This is the wire/storage cost
-/// the tuning layer prices into the energy model.
+/// Bytes the frame adds on top of `payload_bytes` cut into chunks of
+/// `chunk_bytes` (header + trailer + per-chunk headers). This is the
+/// wire/storage cost the tuning layer prices into the energy model.
 [[nodiscard]] std::size_t frame_overhead_bytes(std::size_t payload_bytes,
                                                std::size_t chunk_bytes);
 
 /// Parses the frame header; falls back to the trailer replica when the
-/// head is damaged. Fails only when both copies are unreadable.
+/// head is damaged. Fails only when neither copy is readable.
 [[nodiscard]] Expected<FrameInfo> probe_frame(
     std::span<const std::uint8_t> bytes);
 
-/// Strict decode: header valid, trailer replica identical, every chunk in
-/// sequence with a verified CRC, concatenated length and whole-payload
-/// CRC matching the header. Returns the reassembled payload.
-[[nodiscard]] Expected<std::vector<std::uint8_t>> read_framed(
-    std::span<const std::uint8_t> bytes);
-
 enum class ChunkState : std::uint8_t {
-  kIntact = 0,   ///< located, CRC verified, length consistent
-  kCorrupt = 1,  ///< located but failed CRC or length validation
+  kIntact = 0,   ///< located and CRC verified
+  kCorrupt = 1,  ///< located but failed its CRC
   kMissing = 2,  ///< never located (lost to truncation/splice/overwrite)
 };
 
@@ -190,25 +176,23 @@ struct FrameRecovery {
   /// Fraction of expected chunks recovered intact (1.0 when empty).
   [[nodiscard]] double chunk_recovered_fraction() const noexcept;
   [[nodiscard]] bool complete() const noexcept;
-
-  /// Byte-mode only (info.chunk_bytes > 0): the payload with every lost
-  /// chunk's byte range zero-filled — the RecoveryPolicy fill for opaque
-  /// payloads.
-  [[nodiscard]] std::vector<std::uint8_t> assemble_zero_filled() const;
 };
+
+/// The one strict walk: header valid at offset 0, every chunk in sequence
+/// with a verified CRC, the trailer replica right after the last chunk,
+/// ending `bytes` and identical to the header, and the chunks' total
+/// length and whole-payload CRC matching the header. Bytes past the frame
+/// (the tail of a longer file it was written over) fail it. Every chunk of
+/// the result is intact; its payload spans borrow from `bytes`.
+[[nodiscard]] Expected<FrameRecovery> read_framed(
+    std::span<const std::uint8_t> bytes);
 
 /// Graceful-degradation decode. Fails only when neither header copy is
 /// readable (the chunk layout is unknowable); any other damage degrades
-/// to per-chunk verdicts. The returned payload spans borrow from `bytes`.
+/// to per-chunk verdicts. The walk ends at the first CRC-valid trailer
+/// that agrees with the header, or at the end of `bytes` if there is none.
+/// The returned payload spans borrow from `bytes`.
 [[nodiscard]] Expected<FrameRecovery> recover_framed(
     std::span<const std::uint8_t> bytes);
-
-/// read_framed's layout rule for a recovery of `bytes` whose header was
-/// read at offset 0 and whose chunks are all intact: the chunks sit in
-/// sequence right after the header, and the trailer follows the last one,
-/// ends the stream and agrees with the header. Bytes past the frame — the
-/// tail of a longer file the frame was written over — fail it.
-[[nodiscard]] Status check_frame_layout(std::span<const std::uint8_t> bytes,
-                                        const FrameRecovery& rec);
 
 }  // namespace lcp::compress

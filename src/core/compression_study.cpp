@@ -1,6 +1,5 @@
 #include "core/compression_study.hpp"
 
-#include "compress/common/framing.hpp"
 #include "compress/common/metrics.hpp"
 #include "data/generators.hpp"
 
@@ -90,18 +89,9 @@ Calibration scale_to_volume(const Calibration& cal, Bytes total) {
   return full;
 }
 
-DumpBytes dump_bytes(const Calibration& cal, std::size_t frame_chunk_bytes) {
-  DumpBytes out;
-  out.compressed = Bytes{static_cast<std::uint64_t>(
+Bytes dump_bytes(const Calibration& cal) {
+  return Bytes{static_cast<std::uint64_t>(
       static_cast<double>(cal.input_bytes.bytes()) / cal.compression_ratio)};
-  out.wire = out.compressed;
-  if (frame_chunk_bytes > 0) {
-    out.wire = Bytes{out.compressed.bytes() +
-                     compress::frame_overhead_bytes(
-                         static_cast<std::size_t>(out.compressed.bytes()),
-                         frame_chunk_bytes)};
-  }
-  return out;
 }
 
 Expected<CompressionStudyResult> run_compression_study(

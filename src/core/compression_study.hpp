@@ -101,16 +101,8 @@ struct CompressionStudyResult {
 /// scale with the bytes, the ratio stays.
 [[nodiscard]] Calibration scale_to_volume(const Calibration& cal, Bytes total);
 
-/// What a dump of `cal.input_bytes` stores and moves.
-struct DumpBytes {
-  Bytes compressed;  ///< the input at the calibrated ratio
-  Bytes wire;        ///< plus the frame overhead when framed
-};
-
-/// `frame_chunk_bytes` > 0 frames the dump as a resilient stream cut at
-/// that chunk size (compress/common/framing.hpp); 0 leaves it unframed, so
-/// wire == compressed.
-[[nodiscard]] DumpBytes dump_bytes(const Calibration& cal,
-                                   std::size_t frame_chunk_bytes);
+/// What a dump of `cal.input_bytes` stores and moves: the input at the
+/// calibrated ratio.
+[[nodiscard]] Bytes dump_bytes(const Calibration& cal);
 
 }  // namespace lcp::core

@@ -45,18 +45,17 @@ Expected<DumpResult> run_dump_experiment(const DumpConfig& config) {
 
     // Extrapolate the really-measured chunk to the full volume.
     const Calibration full = scale_to_volume(*cal, cfg.total_bytes);
-    const DumpBytes bytes = dump_bytes(full, cfg.frame_chunk_bytes);
+    const Bytes bytes = dump_bytes(full);
     const std::vector<tuning::Stage> stages = {
         {"compress", workload_from_calibration(full, spec),
          tuning::StageRole::kCompute},
-        {"write", io::transit_workload(spec, bytes.wire, cfg.transit),
+        {"write", io::transit_workload(spec, bytes, cfg.transit),
          tuning::StageRole::kTransit}};
 
     DumpOutcome outcome;
     outcome.error_bound = eb;
     outcome.compression_ratio = cal->compression_ratio;
-    outcome.compressed_bytes = bytes.compressed;
-    outcome.framed_bytes = bytes.wire;
+    outcome.compressed_bytes = bytes;
     outcome.plan = tuning::compare(spec, stages, {cfg.rule});
     if (cfg.overlap) {
       outcome.overlap =

@@ -23,11 +23,6 @@ struct DumpConfig {
   tuning::TuningRule rule = tuning::paper_rule();
   io::TransitModelConfig transit;
   std::uint64_t seed = 20220530;
-  /// When > 0 the dump is written as a resilient framed stream
-  /// (compress/common/framing.hpp) cut at this chunk size, and the frame
-  /// overhead is priced into the write transit energy. 0 keeps the
-  /// original unframed path bit-for-bit.
-  std::size_t frame_chunk_bytes = 0;
   /// When true each outcome additionally carries the streaming engine's
   /// overlapped schedule (tuning::RuleClocks over overlap_depth slabs:
   /// compression of slab i+1 hidden behind the framed write of slab i).
@@ -41,10 +36,7 @@ struct DumpConfig {
 struct DumpOutcome {
   double error_bound = 0.0;
   double compression_ratio = 0.0;
-  Bytes compressed_bytes;
-  /// Bytes actually put on the wire: compressed payload plus frame
-  /// overhead; equals compressed_bytes when framing is off.
-  Bytes framed_bytes;
+  Bytes compressed_bytes;  ///< what the "write" stage puts on the wire
   tuning::PlanComparison plan;  ///< stages: "compress", then "write"
   /// Streaming schedule for the same stages; default-constructed (and
   /// `overlapped` false) unless DumpConfig.overlap was set.

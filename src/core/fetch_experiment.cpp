@@ -42,7 +42,7 @@ Expected<FetchResult> run_fetch_experiment(const FetchConfig& config) {
       return cal.status();
     }
     const Calibration full = scale_to_volume(*cal, cfg.total_bytes);
-    const DumpBytes bytes = dump_bytes(full, cfg.frame_chunk_bytes);
+    const Bytes bytes = dump_bytes(full);
 
     // Two-stage plan: read at the transit fraction, decompress at the
     // compression fraction (both stages of Eqn 3, applied to the inverse
@@ -50,11 +50,10 @@ Expected<FetchResult> run_fetch_experiment(const FetchConfig& config) {
     FetchOutcome outcome;
     outcome.error_bound = eb;
     outcome.compression_ratio = cal->compression_ratio;
-    outcome.compressed_bytes = bytes.compressed;
-    outcome.framed_bytes = bytes.wire;
+    outcome.compressed_bytes = bytes;
     outcome.plan = tuning::compare(
         spec,
-        {{"read", io::transit_workload(spec, bytes.wire, cfg.transit),
+        {{"read", io::transit_workload(spec, bytes, cfg.transit),
           tuning::StageRole::kTransit},
          {"decompress", decompress_workload_from_calibration(full, spec),
           tuning::StageRole::kCompute}},

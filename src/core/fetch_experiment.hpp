@@ -24,19 +24,12 @@ struct FetchConfig {
   tuning::TuningRule rule = tuning::paper_rule();
   io::TransitModelConfig transit;
   std::uint64_t seed = 20220530;
-  /// When > 0 the stored dump is a resilient framed stream cut at this
-  /// chunk size, so the read moves the frame overhead too. 0 keeps the
-  /// original unframed path bit-for-bit.
-  std::size_t frame_chunk_bytes = 0;
 };
 
 struct FetchOutcome {
   double error_bound = 0.0;
   double compression_ratio = 0.0;
-  Bytes compressed_bytes;
-  /// Bytes actually read: compressed payload plus frame overhead; equals
-  /// compressed_bytes when framing is off.
-  Bytes framed_bytes;
+  Bytes compressed_bytes;  ///< what the "read" stage moves
   tuning::PlanComparison plan;  ///< stages: "read", then "decompress"
 };
 

@@ -217,9 +217,7 @@ Status IncrementalCheckpointStore::publish_journal(
     std::vector<GenerationEntry> next, std::uint64_t next_generation,
     Bytes* journal_bytes) {
   const std::uint64_t attempt = epoch_ + 1;
-  compress::FrameParams params;
-  params.flags = compress::kFrameFlagJournal;
-  compress::FramedWriter writer{params};
+  compress::FramedWriter writer{compress::kFrameFlagJournal};
   JournalHeader header;
   header.epoch = attempt;
   header.next_generation = next_generation;

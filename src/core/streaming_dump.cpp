@@ -27,9 +27,8 @@ Expected<StreamingDumpStats> streaming_dump(const data::Field& field,
   stats.slab_seconds.assign(slab_count, Seconds{0.0});
 
   auto stream = client.begin_file_stream(path);
-  compress::FrameParams params;
-  params.flags = compress::kFrameFlagCheckpoint;  // as write_checkpoint
-  compress::FramedWriter framed{params};
+  // Checkpoint flag, as write_checkpoint.
+  compress::FramedWriter framed{compress::kFrameFlagCheckpoint};
   // Every stream write is timed into stats.write_seconds.
   const auto timed = [&stats](const auto& write) {
     Timer t;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "compress/common/framing.hpp"
 #include "support/checksum.hpp"
 
 namespace lcp::io {
@@ -51,21 +50,6 @@ Status NfsClient::write_chunks(const std::string& path, std::uint64_t offset,
     sent_ += piece.size();
     ++rpcs_;
   }
-  return Status::ok();
-}
-
-Status NfsClient::write_file_framed(const std::string& path,
-                                    std::span<const std::uint8_t> data,
-                                    std::size_t frame_chunk_bytes) {
-  compress::FrameParams params;
-  params.chunk_bytes =
-      frame_chunk_bytes == 0 ? config_.rpc_chunk_bytes : frame_chunk_bytes;
-  if (params.chunk_bytes == 0) {
-    return Status::invalid_argument("nfs client: zero frame chunk size");
-  }
-  const auto framed = compress::frame_payload(data, params);
-  LCP_RETURN_IF_ERROR(write_file(path, framed));
-  framed_overhead_ += framed.size() - data.size();
   return Status::ok();
 }
 

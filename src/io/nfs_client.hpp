@@ -94,15 +94,6 @@ class NfsClient {
   [[nodiscard]] Status write_file(const std::string& path,
                                   std::span<const std::uint8_t> data);
 
-  /// Wraps `data` in a resilient frame (compress/common/framing.hpp) and
-  /// writes the framed stream: a later reader can detect and contain
-  /// storage-side corruption per chunk instead of losing the file.
-  /// `frame_chunk_bytes` of 0 aligns the frame chunks with the RPC size.
-  /// The framing overhead is tracked in framed_overhead_bytes().
-  [[nodiscard]] Status write_file_framed(const std::string& path,
-                                         std::span<const std::uint8_t> data,
-                                         std::size_t frame_chunk_bytes = 0);
-
   /// Incremental writer over explicit-offset RPCs (NFSv3 WRITE semantics).
   /// This is the streaming dump engine's entry point: frame chunks go on
   /// the wire with append() while later slabs are still compressing, and
@@ -162,11 +153,6 @@ class NfsClient {
   }
 
   [[nodiscard]] Bytes bytes_sent() const noexcept { return Bytes{sent_}; }
-  /// Cumulative frame bytes added on top of raw payloads by
-  /// write_file_framed (headers, trailers, per-chunk headers).
-  [[nodiscard]] Bytes framed_overhead_bytes() const noexcept {
-    return Bytes{framed_overhead_};
-  }
   [[nodiscard]] std::size_t rpcs_issued() const noexcept { return rpcs_; }
   [[nodiscard]] const RetryStats& retry_stats() const noexcept { return stats_; }
   [[nodiscard]] const std::vector<RpcAttempt>& trace() const noexcept {
@@ -207,7 +193,6 @@ class NfsClient {
   NfsClientConfig config_;
   const FaultInjector* fault_ = nullptr;
   std::uint64_t sent_ = 0;
-  std::uint64_t framed_overhead_ = 0;
   std::size_t rpcs_ = 0;
   std::uint64_t next_chunk_ = 0;
   RetryStats stats_;

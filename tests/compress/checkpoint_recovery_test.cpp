@@ -381,9 +381,55 @@ TEST(CheckpointTest, StrictReadRejectsStaleBytesPastTheFrame) {
   EXPECT_FALSE(read_framed(padded).has_value());
 }
 
+TEST(CheckpointTest, RecoveryStopsAtTheTrailerOfAFrameOverALongerFile) {
+  // A checkpoint written in place over a longer one of another field with
+  // the same dims leaves the old frame's chunks, with the same sequence
+  // numbers, behind the new trailer. A damaged chunk of the new frame must
+  // be reported lost, not stood in for by the old chunk of its number.
+  CheckpointOptions new_opts;
+  new_opts.codec = "sz";
+  new_opts.bound = ErrorBound::absolute(1e-2);
+  new_opts.chunk_elements = 2048;
+  CheckpointOptions old_opts = new_opts;
+  old_opts.bound = ErrorBound::absolute(1e-5);
+  const auto new_field = data::generate_nyx(32, 42);
+  const auto old_field = data::generate_nyx(32, 7);
+  ASSERT_EQ(new_field.dims(), old_field.dims());
+  auto new_bytes = write_checkpoint(new_field, new_opts);
+  auto old_bytes = write_checkpoint(old_field, old_opts);
+  ASSERT_TRUE(new_bytes.has_value());
+  ASSERT_TRUE(old_bytes.has_value());
+  ASSERT_LT(new_bytes->size(), old_bytes->size());
+  std::vector<std::uint8_t> overwritten = *old_bytes;
+  std::copy(new_bytes->begin(), new_bytes->end(), overwritten.begin());
+  constexpr std::uint32_t kVictim = 9;
+  overwritten[chunk_payload_offset(*new_bytes, kVictim + 1) + 5] ^= 0x01;
+
+  auto report = recover_checkpoint(overwritten);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  ASSERT_EQ(report->field.element_count(), new_field.element_count());
+  ASSERT_GT(report->slabs.size(), kVictim + 1);
+  const SlabVerdict& lost = report->slabs[kVictim];
+  EXPECT_FALSE(lost.recovered);
+  EXPECT_EQ(lost.frame_state, ChunkState::kCorrupt);
+  EXPECT_EQ(report->recovered_slabs(), report->slabs.size() - 1);
+  const auto truth = new_field.values();
+  const auto got = report->field.values();
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    if (i >= lost.element_offset &&
+        i < lost.element_offset + lost.element_count) {
+      continue;
+    }
+    ASSERT_LE(std::abs(got[i] - truth[i]), 1e-2 * (1 + 1e-6)) << i;
+  }
+}
+
 TEST(CheckpointTest, RejectsNonCheckpointFrames) {
   const std::vector<std::uint8_t> payload(1000, 0x5A);
-  const auto framed = frame_payload(payload);
+  FramedWriter writer;  // no checkpoint flag
+  writer.append_chunk(payload);
+  writer.append_chunk(payload);
+  const auto framed = writer.finish();
   auto report = recover_checkpoint(framed);
   EXPECT_FALSE(report.has_value());
   EXPECT_EQ(report.status().code(), ErrorCode::kInvalidArgument);

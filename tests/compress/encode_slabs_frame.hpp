@@ -23,9 +23,7 @@ inline Expected<std::vector<std::uint8_t>> encode_slabs_frame(
   if (!manifest) {
     return manifest.status();
   }
-  FrameParams params;
-  params.flags = kFrameFlagCheckpoint;
-  FramedWriter writer{params};
+  FramedWriter writer{kFrameFlagCheckpoint};
   writer.append_chunk(*manifest);
   std::vector<std::size_t> all(checkpoint_slab_count(field, options));
   std::iota(all.begin(), all.end(), std::size_t{0});

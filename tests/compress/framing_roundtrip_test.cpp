@@ -1,13 +1,15 @@
 // Frame-layer transparency: for every codec x rank x bound x chunk size,
-// framing an undamaged container and strict-reading it back must be
-// byte-for-byte lossless, and the decompressed field must be bit-identical
-// to decompressing the unframed container.
+// framing an undamaged container cut into chunks of that size and
+// strict-reading it back must be byte-for-byte lossless, and the
+// decompressed field must be bit-identical to decompressing the unframed
+// container.
 
 #include <gtest/gtest.h>
 
 #include "compress/common/framing.hpp"
 #include "compress/common/registry.hpp"
 #include "data/generators.hpp"
+#include "frame_chunks.hpp"
 
 namespace lcp::compress {
 namespace {
@@ -55,18 +57,17 @@ TEST_P(FramingRoundTripTest, FrameLayerIsTransparent) {
   ASSERT_TRUE(compressed.has_value()) << compressed.status().to_string();
   const auto& container = compressed->container;
 
-  FrameParams params;
-  params.chunk_bytes = p.chunk_bytes;
-  const auto framed = frame_payload(container, params);
+  const auto framed = frame_in_chunks(container, p.chunk_bytes);
 
   // Layer transparency: strict read returns the container bit-for-bit.
-  auto unframed = read_framed(framed);
-  ASSERT_TRUE(unframed.has_value()) << unframed.status().to_string();
-  ASSERT_EQ(*unframed, container);
+  auto walked = read_framed(framed);
+  ASSERT_TRUE(walked.has_value()) << walked.status().to_string();
+  const auto unframed = joined_payload(*walked);
+  ASSERT_EQ(unframed, container);
 
   // And decode-after-frame equals decode-without-frame bit-for-bit.
   auto direct = decompress_any(container);
-  auto via_frame = decompress_any(*unframed);
+  auto via_frame = decompress_any(unframed);
   ASSERT_TRUE(direct.has_value());
   ASSERT_TRUE(via_frame.has_value());
   const auto a = direct->field.values();

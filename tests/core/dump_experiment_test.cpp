@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "compress/common/framing.hpp"
 #include "power/chip_model.hpp"
 #include "power/workload.hpp"
 
@@ -100,39 +99,6 @@ TEST(DumpExperimentTest, WorksOnSkylakeToo) {
   const auto result = run_dump_experiment(cfg);
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->outcomes[0].plan.energy_savings(), 0.0);
-}
-
-TEST(DumpExperimentTest, FramingOffPutsOnlyCompressedBytesOnTheWire) {
-  // Default config has frame_chunk_bytes = 0: the wire volume must equal
-  // the compressed volume exactly (the pre-framing behavior).
-  DumpConfig cfg = tiny_config();
-  cfg.error_bounds = {1e-3};
-  const auto plain = run_dump_experiment(cfg);
-  ASSERT_TRUE(plain.has_value());
-  const auto& o = plain->outcomes[0];
-  EXPECT_EQ(o.framed_bytes.bytes(), o.compressed_bytes.bytes());
-}
-
-TEST(DumpExperimentTest, FramedDumpPaysMeasurableOverhead) {
-  // Byte accounting is deterministic (unlike the calibrated wall times),
-  // so the framing cost is asserted on the byte volumes.
-  DumpConfig cfg = tiny_config();
-  cfg.error_bounds = {1e-3};
-  cfg.frame_chunk_bytes = 64 * 1024;
-  const auto framed = run_dump_experiment(cfg);
-  ASSERT_TRUE(framed.has_value());
-
-  const auto& f = framed->outcomes[0];
-  EXPECT_GT(f.framed_bytes.bytes(), f.compressed_bytes.bytes());
-  const std::uint64_t overhead =
-      f.framed_bytes.bytes() - f.compressed_bytes.bytes();
-  EXPECT_EQ(overhead,
-            compress::frame_overhead_bytes(
-                static_cast<std::size_t>(f.compressed_bytes.bytes()),
-                cfg.frame_chunk_bytes));
-  // The overhead stays small at 64 KiB chunks (~0.03% of the stream).
-  EXPECT_LT(static_cast<double>(overhead),
-            0.001 * static_cast<double>(f.compressed_bytes.bytes()));
 }
 
 TEST(DumpExperimentTest, OverlapIsOffByDefault) {

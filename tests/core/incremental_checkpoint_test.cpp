@@ -697,9 +697,7 @@ std::vector<std::uint8_t> frame_with_slab(
   auto manifest = compress::checkpoint_manifest(field, opts);
   auto codec = compress::make_compressor(opts.codec);
   EXPECT_TRUE(manifest.has_value() && codec.has_value());
-  compress::FrameParams params;
-  params.flags = compress::kFrameFlagCheckpoint;
-  compress::FramedWriter writer{params};
+  compress::FramedWriter writer{compress::kFrameFlagCheckpoint};
   writer.append_chunk(*manifest);
   for (std::size_t s = 0; s < compress::checkpoint_slab_count(field, opts);
        ++s) {
@@ -805,9 +803,7 @@ TEST(IncrementalStoreTest, RestoreAgreesWithRecoverOnUndecodableSlab) {
                                                 journal->end());
   const auto chunks = compress::recover_framed(journal_bytes);
   ASSERT_TRUE(chunks.has_value());
-  compress::FrameParams params;
-  params.flags = compress::kFrameFlagJournal;
-  compress::FramedWriter writer{params};
+  compress::FramedWriter writer{compress::kFrameFlagJournal};
   std::size_t patched = 0;
   for (const auto& chunk : chunks->chunks) {
     std::vector<std::uint8_t> payload(chunk.payload.begin(),

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
-#include "compress/common/framing.hpp"
+#include "compress/common/checkpoint.hpp"
+#include "data/generators.hpp"
 #include "io/nfs_client.hpp"
 #include "io/nfs_server.hpp"
 
@@ -173,52 +175,62 @@ TEST(DiskSpecTest, WriteTimeFollowsThroughput) {
               1e-6);
 }
 
-TEST(NfsClientTest, FramedWriteRoundTripsThroughServer) {
-  NfsServer server;
-  NfsClient client{server};
-  const auto data = pattern(50'000);
-  ASSERT_TRUE(client.write_file_framed("ckpt", data).is_ok());
-
-  const auto stored = server.read_file("ckpt");
-  ASSERT_TRUE(stored.has_value());
-  EXPECT_GT(stored->size(), data.size());  // frame overhead on the wire
-  EXPECT_EQ(client.framed_overhead_bytes().bytes(),
-            stored->size() - data.size());
-
-  auto back = compress::read_framed(*stored);
-  ASSERT_TRUE(back.has_value()) << back.status().to_string();
-  EXPECT_EQ(*back, data);
+/// A small checkpoint of a NYX field: a multi-chunk frame of slabs.
+std::vector<std::uint8_t> checkpoint_bytes(const data::Field& field) {
+  compress::CheckpointOptions opts;
+  opts.codec = "lossless";
+  opts.chunk_elements = 1024;
+  auto bytes = compress::write_checkpoint(field, opts);
+  EXPECT_TRUE(bytes.has_value());
+  return bytes.has_value() ? std::move(*bytes) : std::vector<std::uint8_t>{};
 }
 
-TEST(NfsClientTest, FramedWriteUsesExplicitChunkSize) {
+TEST(NfsClientTest, FramedWriteRoundTripsThroughServer) {
   NfsServer server;
-  NfsClient client{server};
-  const auto data = pattern(10'000);
-  ASSERT_TRUE(client.write_file_framed("ckpt", data, 1024).is_ok());
+  NfsClientConfig config;
+  config.rpc_chunk_bytes = 4096;  // the frame spans several RPCs
+  NfsClient client{server, config};
+  const auto field = data::generate_nyx(16, 3);
+  const auto frame = checkpoint_bytes(field);
+  ASSERT_GT(frame.size(), config.rpc_chunk_bytes);
+  ASSERT_TRUE(client.write_file("ckpt", frame).is_ok());
+
   const auto stored = server.read_file("ckpt");
   ASSERT_TRUE(stored.has_value());
-  auto info = compress::probe_frame(*stored);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->chunk_bytes, 1024u);
-  EXPECT_EQ(info->chunk_count, 10u);  // ceil(10000 / 1024)
+  EXPECT_EQ(client.bytes_sent().bytes(), frame.size());
+  auto back = compress::read_checkpoint(*stored);
+  ASSERT_TRUE(back.has_value()) << back.status().to_string();
+  EXPECT_TRUE(std::equal(field.values().begin(), field.values().end(),
+                         back->values().begin(), back->values().end()));
 }
 
 TEST(NfsClientTest, FramedWriteSurvivesStorageCorruption) {
-  // End-to-end story: framed write, storage-side damage, partial read.
+  // End-to-end story: checkpoint written through the client, one byte of
+  // slab 0 flipped at rest on the server, partial read.
   NfsServer server;
   NfsClient client{server};
-  const auto data = pattern(8 * 1024);
-  ASSERT_TRUE(client.write_file_framed("ckpt", data, 1024).is_ok());
-  auto stored = server.read_file("ckpt");
-  ASSERT_TRUE(stored.has_value());
-  std::vector<std::uint8_t> damaged(stored->begin(), stored->end());
-  damaged[compress::kFrameHeaderBytes + compress::kChunkHeaderBytes + 10] ^=
-      0xFF;  // kill chunk 0
+  const auto field = data::generate_nyx(16, 4);
+  const auto frame = checkpoint_bytes(field);
+  ASSERT_TRUE(client.write_file("ckpt", frame).is_ok());
 
-  auto rec = compress::recover_framed(damaged);
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->intact_chunks(), rec->chunks.size() - 1);
-  EXPECT_NE(rec->chunks[0].state, compress::ChunkState::kIntact);
+  // Chunk 0 is the manifest; slab 0 rides chunk 1.
+  auto walked = compress::read_framed(frame);
+  ASSERT_TRUE(walked.has_value());
+  const std::size_t victim = static_cast<std::size_t>(
+      walked->chunks[1].payload.data() - frame.data()) + 10;
+  const std::uint8_t flipped[] = {static_cast<std::uint8_t>(frame[victim] ^
+                                                             0xFF)};
+  ASSERT_TRUE(server.handle_write_at("ckpt", victim, flipped).has_value());
+
+  const auto stored = server.read_file("ckpt");
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_FALSE(compress::read_checkpoint(*stored).has_value());
+  auto report = compress::recover_checkpoint(*stored);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  ASSERT_GT(report->slabs.size(), 1u);
+  EXPECT_FALSE(report->slabs[0].recovered);
+  EXPECT_EQ(report->slabs[0].frame_state, compress::ChunkState::kCorrupt);
+  EXPECT_EQ(report->recovered_slabs(), report->slabs.size() - 1);
 }
 
 }  // namespace
