@@ -8,7 +8,6 @@
 
 #include "compress/common/container.hpp"
 #include "compress/common/registry.hpp"
-#include "support/buffer_pool.hpp"
 #include "support/bytestream.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/thread_pool.hpp"
@@ -345,29 +344,20 @@ Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
       v.status = std::move(supplied.status);
       return;
     }
-    // The header's element claim is checked before any codec allocates
-    // for it: a hostile slab costs its bytes, not its claim. A header that
-    // does not parse fails in decompress_any below.
-    if (const auto header = parse_container(supplied.bytes);
-        header && header->dims.element_count() != v.element_count) {
-      v.status = Status::corrupt_data(
-                     "slab header claims " +
-                     std::to_string(header->dims.element_count()) +
-                     " elements, layout holds " +
-                     std::to_string(v.element_count))
-                     .with_context("slab " + std::to_string(s));
-    } else if (auto decoded = decompress_any(supplied.bytes); !decoded) {
-      v.status = decoded.status().with_context("slab " + std::to_string(s));
-    } else if (decoded->field.element_count() != v.element_count) {
-      v.status = Status::corrupt_data("slab element count mismatch")
-                     .with_context("slab " + std::to_string(s));
-    } else {
-      const auto values = decoded->field.values();
-      std::copy(values.begin(), values.end(),
-                out.begin() + static_cast<std::ptrdiff_t>(v.element_offset));
-      v.status = Status::ok();
-      v.recovered = true;
+    // Decoded in place: the header's element claim is checked against the
+    // slab's range before any codec runs, so a hostile slab costs its
+    // bytes, not its claim. A decode that fails partway leaves the range
+    // zero again, as lost elements read before the fill policy runs.
+    const std::span<float> range{out.data() + v.element_offset,
+                                 v.element_count};
+    if (const Status st = decompress_any_into(supplied.bytes, range);
+        !st.is_ok()) {
+      std::fill(range.begin(), range.end(), 0.0F);
+      v.status = st.with_context("slab " + std::to_string(s));
+      return;
     }
+    v.status = Status::ok();
+    v.recovered = true;
   };
   if (pool == nullptr) {
     for (std::size_t s = 0; s < report.slabs.size(); ++s) {
@@ -427,15 +417,10 @@ Expected<std::vector<std::uint8_t>> compress_checkpoint_slab(
   if (slab_index >= layout.slab_count()) {
     return Status::invalid_argument("checkpoint slab index out of range");
   }
-  // The slab copy lives in the calling thread's scratch pool: after the
-  // first call on a thread it is reused, not allocated per slab.
-  const auto values = layout.slab_values(field, slab_index);
-  ScratchLease<float> copy{values.size()};
-  copy->assign(values.begin(), values.end());
-  data::Field slab{field.name(), data::Dims::d1(values.size()),
-                   std::move(*copy)};
-  auto compressed = codec.compress(slab, options.bound);
-  *copy = std::move(slab).take_values();
+  auto compressed =
+      codec.compress(layout.slab_values(field, slab_index),
+                     data::Dims::d1(layout.slab_elements(slab_index)),
+                     field.name(), options.bound);
   if (!compressed) {
     return compressed.status().with_context("slab " +
                                             std::to_string(slab_index));

@@ -100,9 +100,10 @@ void write_slab_layout(ByteWriter& w, const SlabLayout& layout);
 [[nodiscard]] Expected<std::vector<std::uint8_t>> checkpoint_manifest(
     const data::Field& field, const CheckpointOptions& options);
 
-/// Compresses slab `slab_index` exactly as write_checkpoint does. `codec`
-/// must be an instance of options.codec (passed in so parallel callers
-/// construct it once per thread, not once per slab).
+/// Compresses slab `slab_index` exactly as write_checkpoint does, straight
+/// from the field's memory (a 1-D container named after the field).
+/// `codec` must be an instance of options.codec (passed in so callers
+/// construct it once per walk, not once per slab).
 [[nodiscard]] Expected<std::vector<std::uint8_t>> compress_checkpoint_slab(
     const data::Field& field, const CheckpointOptions& options,
     std::size_t slab_index, const Compressor& codec);
@@ -218,17 +219,18 @@ struct SlabBytes {
 using SlabSource = std::function<SlabBytes(std::size_t slab)>;
 
 /// The one slab decode walk, the read-side twin of encode_slabs. Asks
-/// `source` for every slab of `layout`, checks the container header's
-/// element count against the slab's before any codec allocates for it,
-/// decodes, places the slab at its offset and records its verdict.
-/// Without a pool the slabs decode inline on the caller's thread, in
-/// order; with one they decode on the workers and the caller, each slab
-/// into its own range of the field and its own verdict. After every slab
-/// is walked (the walk never stops early) it counts lost elements in slab
-/// order, applies policy.fail_on_any_loss (the lowest lost slab's status,
-/// as a typed error) and the policy fill, so the report is the same
-/// bytes either way. Bytes that were supplied but fail to decode keep the
-/// source's frame_state.
+/// `source` for every slab of `layout` and decodes it with
+/// decompress_any_into straight into its range of the field (one container
+/// parse; a header whose element count is not the slab's is rejected
+/// before any codec runs; a decode that fails partway leaves the range
+/// zero), recording each slab's verdict. Without a pool the slabs decode
+/// inline on the caller's thread, in order; with one they decode on the
+/// workers and the caller. After every slab is walked (the walk never
+/// stops early) it counts lost elements in slab order, applies
+/// policy.fail_on_any_loss (the lowest lost slab's status, as a typed
+/// error) and the policy fill, so the report is the same bytes either
+/// way. Bytes that were supplied but fail to decode keep the source's
+/// frame_state.
 [[nodiscard]] Expected<RecoveryReport> decode_slabs(
     const SlabLayout& layout, const SlabSource& source,
     const RecoveryPolicy& policy, ThreadPool* pool = nullptr);

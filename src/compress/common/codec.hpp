@@ -1,9 +1,19 @@
 #pragma once
-// Public compressor interface. Both the SZ-class and ZFP-class codecs
-// implement this; studies and benches only see this surface.
+// Public compressor interface; studies and benches only see this surface.
+//
+// A codec codes only its payload, through two protected virtuals:
+//   encode(values, dims, bound) -> payload bytes
+//   decode(container view, out) -> status, every element of `out` written
+// The non-virtual wrappers (codec.cpp) own the container (container.hpp):
+// compress() times the encode and builds the container; decompress() and
+// decompress_into() parse it once and check its codec name, and
+// decompress_into() rejects a header whose element count differs from
+// the caller's span before any decode runs. Codecs keep no per-call
+// state, so one instance serves every thread.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,24 +77,60 @@ struct DecompressResult {
   Seconds native_wall_time;
 };
 
-/// Abstract lossy compressor.
+struct ContainerView;
+
+/// Abstract compressor: the container wrappers around one codec.
 class Compressor {
  public:
   virtual ~Compressor() = default;
 
-  /// Codec identifier ("sz", "zfp").
+  /// Codec identifier, the container's codec field ("sz", "zfp", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Compresses `field` under `bound`. Fails on non-finite input.
-  [[nodiscard]] virtual Expected<CompressResult> compress(
-      const data::Field& field, const ErrorBound& bound) const = 0;
+  /// Compresses `field` under `bound`. The lossy codecs fail on non-finite
+  /// input.
+  [[nodiscard]] Expected<CompressResult> compress(
+      const data::Field& field, const ErrorBound& bound) const;
 
-  /// Decompresses a container produced by this codec.
-  [[nodiscard]] virtual Expected<DecompressResult> decompress(
-      std::span<const std::uint8_t> container) const = 0;
+  /// Compresses `values`, shaped `dims`, into a container that names the
+  /// field `field_name`, without a Field around the values.
+  [[nodiscard]] Expected<CompressResult> compress(
+      std::span<const float> values, const data::Dims& dims,
+      const std::string& field_name, const ErrorBound& bound) const;
+
+  /// Decompresses a container produced by this codec into a new field.
+  [[nodiscard]] Expected<DecompressResult> decompress(
+      std::span<const std::uint8_t> container) const;
+  /// The same, for a container already parsed.
+  [[nodiscard]] Expected<DecompressResult> decompress(
+      const ContainerView& view) const;
+
+  /// Decompresses a container produced by this codec straight into `out`;
+  /// a decode that fails partway leaves `out` partly written.
+  [[nodiscard]] Status decompress_into(std::span<const std::uint8_t> container,
+                                       std::span<float> out) const;
+  /// The same, for a container already parsed.
+  [[nodiscard]] Status decompress_into(const ContainerView& view,
+                                       std::span<float> out) const;
+
+ protected:
+  /// This codec's payload for `values`, shaped `dims`, under `bound`.
+  [[nodiscard]] virtual Expected<std::vector<std::uint8_t>> encode(
+      std::span<const float> values, const data::Dims& dims,
+      const ErrorBound& bound) const = 0;
+
+  /// Decodes the payload of `view`, a container of this codec, into
+  /// `out`, which holds exactly view.dims.element_count() elements.
+  [[nodiscard]] virtual Status decode(const ContainerView& view,
+                                      std::span<float> out) const = 0;
 };
 
-/// Validates that all values are finite (both codecs require this).
-[[nodiscard]] Status validate_finite(const data::Field& field);
+/// The extents a codec walks: rank-4 fields merge their two slowest axes
+/// (SZ's stencils and ZFP's transform are at most 3-D).
+[[nodiscard]] std::vector<std::size_t> effective_extents(
+    const data::Dims& dims);
+
+/// Validates that all values are finite (the lossy codecs require this).
+[[nodiscard]] Status validate_finite(std::span<const float> values);
 
 }  // namespace lcp::compress

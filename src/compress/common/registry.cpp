@@ -1,5 +1,7 @@
 #include "compress/common/registry.hpp"
 
+#include <array>
+
 #include "compress/common/container.hpp"
 #include "compress/lossless/shuffle_codec.hpp"
 #include "compress/sz/sz_compressor.hpp"
@@ -61,17 +63,53 @@ const std::vector<std::string>& registered_codec_names() {
   return names;
 }
 
-Expected<DecompressResult> decompress_any(
-    std::span<const std::uint8_t> container) {
+namespace {
+
+/// A parsed container and the decoder its codec field names.
+struct Routed {
+  ContainerView view;
+  const Compressor* decoder;
+};
+
+/// Parses `container` once and finds its decoder. Codecs keep no per-call
+/// state, so one shared instance of each decodes for every caller ("sz2"
+/// containers say "sz").
+Expected<Routed> route(std::span<const std::uint8_t> container) {
+  static const sz::SzCompressor sz;
+  static const zfp::ZfpCompressor zfp;
+  static const lossless::ShuffleCodec lossless;
+  static const std::array<const Compressor*, 3> decoders{&sz, &zfp, &lossless};
   auto view = parse_container(container);
   if (!view) {
     return view.status().with_context("decompress_any");
   }
-  auto codec = make_compressor(view->codec);
-  if (!codec) {
-    return codec.status().with_context("decompress_any");
+  for (const Compressor* decoder : decoders) {
+    if (decoder->name() == view->codec) {
+      return Routed{std::move(*view), decoder};
+    }
   }
-  return (*codec)->decompress(container);
+  return Status::invalid_argument("unknown codec: " + view->codec)
+      .with_context("decompress_any");
+}
+
+}  // namespace
+
+Expected<DecompressResult> decompress_any(
+    std::span<const std::uint8_t> container) {
+  auto routed = route(container);
+  if (!routed) {
+    return routed.status();
+  }
+  return routed->decoder->decompress(routed->view);
+}
+
+Status decompress_any_into(std::span<const std::uint8_t> container,
+                           std::span<float> out) {
+  auto routed = route(container);
+  if (!routed) {
+    return routed.status();
+  }
+  return routed->decoder->decompress_into(routed->view, out);
 }
 
 }  // namespace lcp::compress

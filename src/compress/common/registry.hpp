@@ -29,8 +29,15 @@ enum class CodecId : std::uint8_t { kSz = 0, kZfp = 1 };
 /// (fuzzing, round-trip matrices): {"sz", "sz2", "zfp", "lossless"}.
 [[nodiscard]] const std::vector<std::string>& registered_codec_names();
 
-/// Decompresses any valid container by routing on its codec field.
+/// Decompresses any valid container by routing on its codec field to a
+/// shared decoder (no codec is built per call).
 [[nodiscard]] Expected<DecompressResult> decompress_any(
     std::span<const std::uint8_t> container);
+
+/// decompress_any straight into `out`, with Compressor::decompress_into's
+/// contract: a header whose element count differs from out.size() is
+/// rejected before any decode runs.
+[[nodiscard]] Status decompress_any_into(
+    std::span<const std::uint8_t> container, std::span<float> out);
 
 }  // namespace lcp::compress

@@ -7,7 +7,6 @@
 #include "compress/sz/zlite.hpp"
 #include "support/bytestream.hpp"
 #include "support/dispatch.hpp"
-#include "support/timer.hpp"
 
 #if defined(LCP_HAVE_AVX2_BUILD)
 #include "compress/simd/avx2_kernels.hpp"
@@ -57,39 +56,23 @@ void unshuffle_bytes(std::span<const std::uint8_t> bytes,
   }
 }
 
-Expected<compress::CompressResult> ShuffleCodec::compress(
-    const data::Field& field, const compress::ErrorBound& bound) const {
-  Timer timer;
-  std::vector<std::uint8_t> shuffled(field.element_count() * sizeof(float));
-  shuffle_bytes(field.values(), shuffled);
+Expected<std::vector<std::uint8_t>> ShuffleCodec::encode(
+    std::span<const float> values, const data::Dims& /*dims*/,
+    const compress::ErrorBound& /*bound*/) const {
+  std::vector<std::uint8_t> shuffled(values.size_bytes());
+  shuffle_bytes(values, shuffled);
   const auto packed = sz::zlite_compress(shuffled);
 
   ByteWriter payload;
   payload.write_u8(kPayloadVersion);
   payload.write_u64(packed.size());
   payload.write_bytes(packed);
-  const auto payload_bytes = payload.finish();
-
-  compress::CompressResult result;
-  result.container = compress::build_container("lossless", bound, field.dims(),
-                                               field.name(), payload_bytes);
-  result.input_bytes = field.size_bytes();
-  result.output_bytes = Bytes{result.container.size()};
-  result.native_wall_time = timer.elapsed();
-  return result;
+  return payload.finish();
 }
 
-Expected<compress::DecompressResult> ShuffleCodec::decompress(
-    std::span<const std::uint8_t> container) const {
-  Timer timer;
-  auto view = compress::parse_container(container);
-  if (!view) {
-    return view.status().with_context("lossless container");
-  }
-  if (view->codec != "lossless") {
-    return Status::invalid_argument("container codec is not lossless");
-  }
-  ByteReader r{view->payload};
+Status ShuffleCodec::decode(const compress::ContainerView& view,
+                            std::span<float> out) const {
+  ByteReader r{view.payload};
   auto version = r.read_u8();
   if (!version || *version != kPayloadVersion) {
     return Status::unsupported("unknown lossless payload version");
@@ -102,21 +85,16 @@ Expected<compress::DecompressResult> ShuffleCodec::decompress(
   if (!packed) {
     return packed.status().with_context("lossless packed blob");
   }
-  const std::size_t n = view->dims.element_count();
-  auto shuffled = sz::zlite_decompress(*packed, n * sizeof(float));
+  const std::size_t bytes = out.size_bytes();
+  auto shuffled = sz::zlite_decompress(*packed, bytes);
   if (!shuffled) {
     return shuffled.status().with_context("lossless payload");
   }
-  if (shuffled->size() != n * sizeof(float)) {
+  if (shuffled->size() != bytes) {
     return Status::corrupt_data("lossless: shuffled size mismatch");
   }
-  std::vector<float> values(n);
-  unshuffle_bytes(*shuffled, values);
-
-  compress::DecompressResult result;
-  result.field = data::Field{view->field_name, view->dims, std::move(values)};
-  result.native_wall_time = timer.elapsed();
-  return result;
+  unshuffle_bytes(*shuffled, out);
+  return Status::ok();
 }
 
 }  // namespace lcp::lossless

@@ -181,6 +181,19 @@ void fill_single_entries(std::vector<std::uint64_t>& table, unsigned width,
   }
 }
 
+/// The 57 to 64 stream bits from bit `pos` of `payload` on, LSB first;
+/// bits past the end read as zeros.
+std::uint64_t window_at(std::span<const std::uint8_t> payload,
+                        std::uint64_t pos) noexcept {
+  const auto byte = static_cast<std::size_t>(pos >> 3);
+  std::uint64_t word = 0;
+  if (byte < payload.size()) {
+    std::memcpy(&word, payload.data() + byte,
+                std::min(sizeof(word), payload.size() - byte));
+  }
+  return word >> (pos & 7);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> huffman_code_lengths(
@@ -526,107 +539,71 @@ Status huffman_decode_into(std::span<const std::uint8_t> blob,
 
   // The hot loop is a serial dependency chain (probe -> table load ->
   // cursor advance -> next probe), so the body holds the pending stream
-  // bits in a register and refills it from memory only every few symbols
-  // (a refill banks >= 57 bits; one probe spends at most wide_bits).
-  // Everything else is branchless apart from the rare long-code
-  // fallback: both symbol slots store unconditionally, and running the
-  // loop only while two output slots remain (i + 1 < total) makes the
-  // advance and bit counts plain field extracts — a pair entry always
-  // consumes both symbols, so `total bits` is the consumption for every
-  // resolvable entry. While a full 8-byte refill window is in bounds
-  // every consumed bit is a genuine stream bit, so no overflow checks
-  // are needed; the last symbols and any long-code fallback run
-  // through the bounds-checked BitReader, synced to the register
-  // cursor's position on entry.
+  // bits in registers and refills them from memory only every few symbols
+  // (a refill banks >= 57 bits; one probe spends at most wide_bits). The
+  // body is branchless apart from the refill and its exits: both symbol
+  // slots store unconditionally, and running the loop only while two
+  // output slots remain (i + 1 < total) makes the advance and bit counts
+  // plain field extracts — a pair entry always consumes both symbols, so
+  // `total bits` is the consumption for every resolvable entry. Codes
+  // longer than the table window, the last 8 bytes of the payload and the
+  // last symbol (where a pair slot spends only its first code) decode one
+  // code at a time outside that loop, through window_at. Past the end of
+  // the payload the window reads zeros, as a bit-serial decode would; such
+  // a stream decodes garbage until the count is reached and then fails
+  // the one overflow check after the loop (the cursor only moves forward).
   const std::uint64_t total = *count;
   out.resize(static_cast<std::size_t>(total) + 1);
   std::uint32_t* dst = out.data();
   std::uint64_t i = 0;
 
-  const std::uint8_t* data = payload->data();
-  const std::size_t size = payload->size();
+  const std::span<const std::uint8_t> stream = *payload;
   std::uint64_t buf = 0;  // stream bits [pos, pos + navail), LSB first
   unsigned navail = 0;
   std::uint64_t pos = 0;  // bits consumed
-
-  // Banks the stream bits from the cursor on; false within 8 bytes of
-  // the end, where the checked path finishes.
-  const auto refill = [&]() noexcept {
-    const auto byte = static_cast<std::size_t>(pos >> 3);
-    if (byte + sizeof(std::uint64_t) > size) {
-      return false;
-    }
-    std::uint64_t word;
-    std::memcpy(&word, data + byte, sizeof(word));
-    buf = word >> (pos & 7);
-    navail = 64 - static_cast<unsigned>(pos & 7);
-    return true;
-  };
-  while (i + 1 < total) {
-    if (navail < wide_bits && !refill()) {
-      break;
-    }
-    const std::uint64_t e = mtable[buf & wide_mask];
-    if (e == 0) {
-      // Long code: a fresh window makes all 32 searched bits genuine
-      // stream bits.
-      if (!refill()) {
+  while (i < total) {
+    while (i + 1 < total) {
+      if (navail < wide_bits) {
+        const auto byte = static_cast<std::size_t>(pos >> 3);
+        if (byte + sizeof(buf) > stream.size()) {
+          break;
+        }
+        std::memcpy(&buf, stream.data() + byte, sizeof(buf));
+        buf >>= pos & 7;
+        navail = 64 - static_cast<unsigned>(pos & 7);
+      }
+      const std::uint64_t e = mtable[buf & wide_mask];
+      if (e == 0) {
         break;
       }
-      std::uint32_t symbol = 0;
-      const unsigned len = long_code(buf, symbol);
-      if (len == 0) {
-        return Status::corrupt_data("huffman: invalid code in stream");
-      }
-      dst[i] = symbol;
-      ++i;
-      buf >>= len;
-      navail -= len;
-      pos += len;
-      continue;
+      const auto consumed = static_cast<unsigned>((e >> 55) & 63);
+      dst[i] = static_cast<std::uint32_t>(e);
+      dst[i + 1] = static_cast<std::uint32_t>((e >> 32) & 0x1FFFF);
+      buf >>= consumed;
+      navail -= consumed;
+      pos += consumed;
+      i += static_cast<std::uint64_t>(e >> 62);
     }
-    const auto consumed = static_cast<unsigned>((e >> 55) & 63);
-    dst[i] = static_cast<std::uint32_t>(e);
-    dst[i + 1] = static_cast<std::uint32_t>((e >> 32) & 0x1FFFF);
-    buf >>= consumed;
-    navail -= consumed;
-    pos += consumed;
-    i += static_cast<std::uint64_t>(e >> 62);
-  }
-
-  // Tail (and corrupt-stream) path: same decode over the checked reader,
-  // with the overflow verdict deferred to one check after the loop.
-  // Deferring is sound because the flag is sticky and the loop always
-  // terminates (every iteration advances i); a stream that overflows
-  // decodes garbage past that point under either policy and returns the
-  // same corrupt verdict. A long-code match whose final bit lies past the
-  // end trips skip_bits exactly where a bit-serial walk would trip its
-  // read.
-  BitReader bits{*payload};
-  bits.skip_bits(pos);
-  while (i < total) {
-    const std::uint64_t e = mtable[bits.peek_fixed<kWideBits>() & wide_mask];
-    const auto resolved = static_cast<unsigned>(e >> 62);
-    if (resolved == 0) {
-      std::uint32_t symbol = 0;
-      const unsigned len = long_code(bits.peek_bits(kMaxCodeLength), symbol);
-      bits.skip_bits(len);
-      if (len == 0 || bits.overflowed()) {
-        return Status::corrupt_data("huffman: invalid code in stream");
-      }
-      dst[i] = symbol;
-      ++i;
-      continue;
+    if (i == total) {
+      break;
     }
-    const std::uint64_t advance = (resolved == 2 && i + 2 <= total) ? 2 : 1;
-    const std::uint64_t consumed =
-        advance == 2 ? ((e >> 55) & 63) : ((e >> 49) & 63);
-    dst[i] = static_cast<std::uint32_t>(e);
-    dst[i + 1] = static_cast<std::uint32_t>((e >> 32) & 0x1FFFF);
-    bits.skip_bits(consumed);
-    i += advance;
+    // One code from a fresh window (it holds all 32 bits a long code
+    // searches).
+    buf = window_at(stream, pos);
+    navail = 64 - static_cast<unsigned>(pos & 7);
+    const std::uint64_t e = mtable[buf & wide_mask];
+    auto symbol = static_cast<std::uint32_t>(e);
+    auto len = static_cast<unsigned>((e >> 49) & 63);
+    if (e == 0 && (len = long_code(buf, symbol)) == 0) {
+      return Status::corrupt_data("huffman: invalid code in stream");
+    }
+    dst[i] = symbol;
+    ++i;
+    buf >>= len;
+    navail -= len;
+    pos += len;
   }
-  if (bits.overflowed()) {
+  if (pos > std::uint64_t{stream.size()} * 8) {
     return Status::corrupt_data("huffman: invalid code in stream");
   }
   out.resize(static_cast<std::size_t>(total));

@@ -11,7 +11,6 @@
 #include "compress/sz/zlite.hpp"
 #include "support/buffer_pool.hpp"
 #include "support/bytestream.hpp"
-#include "support/timer.hpp"
 
 namespace lcp::sz {
 namespace {
@@ -20,17 +19,6 @@ namespace {
 // v1 payloads used reconstructed-value feedback prediction and would
 // silently misdecode under the v2 semantics, so the version gates them out.
 constexpr std::uint8_t kPayloadVersion = 2;
-
-/// Collapses rank-4 fields to 3-D by merging the two slowest axes; SZ's
-/// highest-order stencil is 3-D.
-std::vector<std::size_t> effective_extents(const data::Dims& dims) {
-  auto ext = dims.extents();
-  while (ext.size() > 3) {
-    ext[1] *= ext[0];
-    ext.erase(ext.begin());
-  }
-  return ext;
-}
 
 /// Packs one bit per element into bytes (LSB-first).
 std::vector<std::uint8_t> pack_bits(const std::vector<bool>& bits) {
@@ -49,8 +37,9 @@ bool unpack_bit(std::span<const std::uint8_t> bytes, std::size_t i) {
 
 }  // namespace
 
-Expected<compress::CompressResult> SzCompressor::compress(
-    const data::Field& field, const compress::ErrorBound& bound) const {
+Expected<std::vector<std::uint8_t>> SzCompressor::encode(
+    std::span<const float> values, const data::Dims& dims,
+    const compress::ErrorBound& bound) const {
   const bool relative =
       bound.mode == compress::BoundMode::kPointwiseRelative;
   if (bound.mode != compress::BoundMode::kAbsolute && !relative) {
@@ -64,28 +53,27 @@ Expected<compress::CompressResult> SzCompressor::compress(
     return Status::invalid_argument(
         "pointwise-relative bound must be in [1e-6, 0.5]");
   }
-  LCP_RETURN_IF_ERROR(compress::validate_finite(field));
+  LCP_RETURN_IF_ERROR(compress::validate_finite(values));
 
-  Timer timer;
-  const auto ext = effective_extents(field.dims());
+  const auto ext = compress::effective_extents(dims);
 
   // PW_REL (the paper's ref [4]): compress log|x| with an absolute bound of
   // log(1+rel); |log x' - log x| <= log(1+rel) implies |x'-x| <= rel*|x|.
   // Signs and exact zeros travel in side bitmaps. The 0.95 margin absorbs
   // the float32 rounding of the log and exp evaluations.
-  std::span<const float> work = field.values();
+  std::span<const float> work = values;
   std::vector<float> logs;
   std::vector<std::uint8_t> sign_bytes;
   std::vector<std::uint8_t> zero_bytes;
   double eb_abs = bound.value;
   if (relative) {
     eb_abs = std::log1p(bound.value) * 0.95;
-    const std::size_t n = field.element_count();
+    const std::size_t n = values.size();
     logs.resize(n);
     std::vector<bool> negatives(n, false);
     std::vector<bool> zeros(n, false);
     for (std::size_t i = 0; i < n; ++i) {
-      const float v = field.values()[i];
+      const float v = values[i];
       if (v == 0.0F) {
         zeros[i] = true;
         logs[i] = 0.0F;
@@ -105,8 +93,7 @@ Expected<compress::CompressResult> SzCompressor::compress(
   // slab per worker, and fresh multi-MB vectors each time serialize the
   // workers on the allocator (mmap churn). The leases return the buffers
   // to the calling thread's pool on scope exit.
-  const std::size_t n_elements = field.element_count();
-  ScratchLease<std::uint32_t> codes_lease{n_elements};
+  ScratchLease<std::uint32_t> codes_lease{values.size()};
   ScratchLease<std::uint32_t> exact_lease;
   auto& codes = codes_lease.get();
   auto& exact = exact_lease.get();
@@ -140,28 +127,12 @@ Expected<compress::CompressResult> SzCompressor::compress(
     payload.write_u32(bits);
   }
 
-  const auto payload_bytes = payload.finish();
-  compress::CompressResult result;
-  result.container = compress::build_container("sz", bound, field.dims(),
-                                               field.name(), payload_bytes);
-  result.input_bytes = field.size_bytes();
-  result.output_bytes = Bytes{result.container.size()};
-  result.native_wall_time = timer.elapsed();
-  return result;
+  return payload.finish();
 }
 
-Expected<compress::DecompressResult> SzCompressor::decompress(
-    std::span<const std::uint8_t> container) const {
-  Timer timer;
-  auto view = compress::parse_container(container);
-  if (!view) {
-    return view.status().with_context("sz container");
-  }
-  if (view->codec != "sz") {
-    return Status::invalid_argument("container codec is not sz");
-  }
-
-  ByteReader r{view->payload};
+Status SzCompressor::decode(const compress::ContainerView& view,
+                            std::span<float> out) const {
+  ByteReader r{view.payload};
   auto version = r.read_u8();
   if (!version || *version != kPayloadVersion) {
     return Status::unsupported("unknown sz payload version");
@@ -204,7 +175,7 @@ Expected<compress::DecompressResult> SzCompressor::decompress(
     return entropy_blob.status().with_context("sz entropy blob");
   }
 
-  const std::size_t n = view->dims.element_count();
+  const std::size_t n = out.size();
   // Pooled like the compress-side scratch: the decoded symbol buffer is the
   // largest decompression allocation (4 bytes per element) and would
   // otherwise be mapped and faulted in fresh on every call.
@@ -247,14 +218,13 @@ Expected<compress::DecompressResult> SzCompressor::decompress(
     exact.push_back(std::bit_cast<float>(*bits));
   }
 
-  const double eb_abs = relative ? std::log1p(view->bound.value) * 0.95
-                                 : view->bound.value;
+  const double eb_abs = relative ? std::log1p(view.bound.value) * 0.95
+                                 : view.bound.value;
   const LinearQuantizer quantizer{eb_abs, *radius};
-  const auto ext = effective_extents(view->dims);
-  std::vector<float> decoded(n, 0.0F);
+  const auto ext = compress::effective_extents(view.dims);
   std::size_t exact_pos = 0;
   const bool ok = reconstruct_fused(codes, exact, ext, predictor, quantizer,
-                                    decoded, exact_pos);
+                                    out, exact_pos);
   if (!ok || exact_pos != exact.size()) {
     return Status::corrupt_data("sz: stream inconsistent with unpredictables");
   }
@@ -268,19 +238,16 @@ Expected<compress::DecompressResult> SzCompressor::decompress(
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (unpack_bit(*zeros, i)) {
-        decoded[i] = 0.0F;
+        out[i] = 0.0F;
       } else {
-        const double magnitude = std::exp(static_cast<double>(decoded[i]));
-        decoded[i] = static_cast<float>(unpack_bit(*signs, i) ? -magnitude
-                                                              : magnitude);
+        const double magnitude = std::exp(static_cast<double>(out[i]));
+        out[i] = static_cast<float>(unpack_bit(*signs, i) ? -magnitude
+                                                          : magnitude);
       }
     }
   }
 
-  compress::DecompressResult result;
-  result.field = data::Field{view->field_name, view->dims, std::move(decoded)};
-  result.native_wall_time = timer.elapsed();
-  return result;
+  return Status::ok();
 }
 
 }  // namespace lcp::sz

@@ -22,12 +22,13 @@ class SzCompressor final : public compress::Compressor {
 
   [[nodiscard]] std::string name() const override { return "sz"; }
 
-  [[nodiscard]] Expected<compress::CompressResult> compress(
-      const data::Field& field,
+ protected:
+  [[nodiscard]] Expected<std::vector<std::uint8_t>> encode(
+      std::span<const float> values, const data::Dims& dims,
       const compress::ErrorBound& bound) const override;
 
-  [[nodiscard]] Expected<compress::DecompressResult> decompress(
-      std::span<const std::uint8_t> container) const override;
+  [[nodiscard]] Status decode(const compress::ContainerView& view,
+                              std::span<float> out) const override;
 
  private:
   SzOptions options_;

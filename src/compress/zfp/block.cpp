@@ -6,15 +6,6 @@
 
 namespace lcp::zfp {
 
-std::vector<std::size_t> effective_extents(const data::Dims& dims) {
-  auto ext = dims.extents();
-  while (ext.size() > 3) {
-    ext[1] *= ext[0];
-    ext.erase(ext.begin());
-  }
-  return ext;
-}
-
 BlockGrid::BlockGrid(std::vector<std::size_t> extents) : ext_(std::move(extents)) {
   LCP_REQUIRE(!ext_.empty() && ext_.size() <= 3, "block grid rank must be 1..3");
   blocks_.resize(ext_.size());

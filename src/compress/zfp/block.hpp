@@ -8,13 +8,12 @@
 #include <span>
 #include <vector>
 
+#include "compress/common/codec.hpp"
 #include "data/field.hpp"
 
 namespace lcp::zfp {
 
-/// Effective extents: rank-4 fields merge their two slowest axes (the
-/// transform is at most 3-D), lower ranks pass through.
-[[nodiscard]] std::vector<std::size_t> effective_extents(const data::Dims& dims);
+using compress::effective_extents;
 
 /// Geometry of the 4^d block grid over a field.
 class BlockGrid {

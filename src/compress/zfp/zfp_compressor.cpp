@@ -13,7 +13,6 @@
 #include "compress/zfp/negabinary.hpp"
 #include "compress/zfp/transform.hpp"
 #include "support/bytestream.hpp"
-#include "support/timer.hpp"
 
 namespace lcp::zfp {
 namespace {
@@ -325,10 +324,14 @@ bool decode_block_fixed_rate(Block<Rank>& blk, const std::uint16_t* order,
   return ok && !reader.overflowed();
 }
 
-/// Bits per block for a requested rate (headers included), floored at the
-/// 17 bits a non-trivial block needs.
-Expected<std::uint64_t> fixed_rate_block_bits(double rate,
-                                              std::size_t block_elements) {
+/// Bits per block under a fixed-rate `bound` (headers included), floored
+/// at the 17 bits a non-trivial block needs; 0 in fixed-accuracy mode.
+Expected<std::uint64_t> block_bits_for(const compress::ErrorBound& bound,
+                                       std::size_t block_elements) {
+  if (bound.mode != compress::BoundMode::kFixedRate) {
+    return std::uint64_t{0};
+  }
+  const double rate = bound.value;
   if (!(rate > 0.0) || rate > 64.0) {
     return Status::invalid_argument("fixed rate must be in (0, 64] bits/value");
   }
@@ -392,8 +395,9 @@ bool decode_blocks(const BlockGrid& grid, const compress::ErrorBound& bound,
 
 }  // namespace
 
-Expected<compress::CompressResult> ZfpCompressor::compress(
-    const data::Field& field, const compress::ErrorBound& bound) const {
+Expected<std::vector<std::uint8_t>> ZfpCompressor::encode(
+    std::span<const float> values, const data::Dims& dims,
+    const compress::ErrorBound& bound) const {
   if (bound.mode != compress::BoundMode::kAbsolute &&
       bound.mode != compress::BoundMode::kFixedRate) {
     return Status::unsupported(
@@ -402,34 +406,18 @@ Expected<compress::CompressResult> ZfpCompressor::compress(
   if (bound.value <= 0.0) {
     return Status::invalid_argument("error bound must be positive");
   }
-  LCP_RETURN_IF_ERROR(compress::validate_finite(field));
+  LCP_RETURN_IF_ERROR(compress::validate_finite(values));
 
-  Timer timer;
-  const BlockGrid grid{effective_extents(field.dims())};
-  const std::size_t rank = grid.rank();
-  const std::size_t block_n = grid.block_elements();
-
-  std::uint64_t block_bits = 0;
-  if (bound.mode == compress::BoundMode::kFixedRate) {
-    auto bits_per_block = fixed_rate_block_bits(bound.value, block_n);
-    if (!bits_per_block) {
-      return bits_per_block.status();
-    }
-    block_bits = *bits_per_block;
+  const BlockGrid grid{effective_extents(dims)};
+  const auto block_bits = block_bits_for(bound, grid.block_elements());
+  if (!block_bits) {
+    return block_bits.status();
   }
-
+  const auto encode_rank = grid.rank() == 1   ? &encode_blocks<1>
+                           : grid.rank() == 2 ? &encode_blocks<2>
+                                              : &encode_blocks<3>;
   BitWriter writer;
-  switch (rank) {
-    case 1:
-      encode_blocks<1>(grid, field.values(), bound, block_bits, writer);
-      break;
-    case 2:
-      encode_blocks<2>(grid, field.values(), bound, block_bits, writer);
-      break;
-    default:
-      encode_blocks<3>(grid, field.values(), bound, block_bits, writer);
-      break;
-  }
+  encode_rank(grid, values, bound, *block_bits, writer);
   auto bits = writer.finish();
 
   ByteWriter payload;
@@ -438,29 +426,12 @@ Expected<compress::CompressResult> ZfpCompressor::compress(
   payload.write_u8(static_cast<std::uint8_t>(kGuardBits));
   payload.write_u64(bits.size());
   payload.write_bytes(bits);
-  const auto payload_bytes = payload.finish();
-
-  compress::CompressResult result;
-  result.container = compress::build_container("zfp", bound, field.dims(),
-                                               field.name(), payload_bytes);
-  result.input_bytes = field.size_bytes();
-  result.output_bytes = Bytes{result.container.size()};
-  result.native_wall_time = timer.elapsed();
-  return result;
+  return payload.finish();
 }
 
-Expected<compress::DecompressResult> ZfpCompressor::decompress(
-    std::span<const std::uint8_t> container) const {
-  Timer timer;
-  auto view = compress::parse_container(container);
-  if (!view) {
-    return view.status().with_context("zfp container");
-  }
-  if (view->codec != "zfp") {
-    return Status::invalid_argument("container codec is not zfp");
-  }
-
-  ByteReader r{view->payload};
+Status ZfpCompressor::decode(const compress::ContainerView& view,
+                             std::span<float> out) const {
+  ByteReader r{view.payload};
   auto version = r.read_u8();
   if (!version || *version != kPayloadVersion) {
     return Status::unsupported("unknown zfp payload version");
@@ -479,41 +450,19 @@ Expected<compress::DecompressResult> ZfpCompressor::decompress(
     return bits.status().with_context("zfp bit stream");
   }
 
-  const BlockGrid grid{effective_extents(view->dims)};
-  const std::size_t rank = grid.rank();
-  std::vector<float> out(view->dims.element_count(), 0.0F);
-
-  std::uint64_t block_bits = 0;
-  if (view->bound.mode == compress::BoundMode::kFixedRate) {
-    auto bits_per_block = fixed_rate_block_bits(view->bound.value,
-                                                grid.block_elements());
-    if (!bits_per_block) {
-      return bits_per_block.status();
-    }
-    block_bits = *bits_per_block;
+  const BlockGrid grid{effective_extents(view.dims)};
+  const auto block_bits = block_bits_for(view.bound, grid.block_elements());
+  if (!block_bits) {
+    return block_bits.status();
   }
-
+  const auto decode_rank = grid.rank() == 1   ? &decode_blocks<1>
+                           : grid.rank() == 2 ? &decode_blocks<2>
+                                              : &decode_blocks<3>;
   BitReader reader{*bits};
-  bool ok = false;
-  switch (rank) {
-    case 1:
-      ok = decode_blocks<1>(grid, view->bound, block_bits, reader, out);
-      break;
-    case 2:
-      ok = decode_blocks<2>(grid, view->bound, block_bits, reader, out);
-      break;
-    default:
-      ok = decode_blocks<3>(grid, view->bound, block_bits, reader, out);
-      break;
-  }
-  if (!ok) {
+  if (!decode_rank(grid, view.bound, *block_bits, reader, out)) {
     return Status::corrupt_data("zfp: bit stream truncated or invalid");
   }
-
-  compress::DecompressResult result;
-  result.field = data::Field{view->field_name, view->dims, std::move(out)};
-  result.native_wall_time = timer.elapsed();
-  return result;
+  return Status::ok();
 }
 
 }  // namespace lcp::zfp

@@ -69,10 +69,6 @@ class Field {
     return values_;
   }
   [[nodiscard]] std::span<float> mutable_values() noexcept { return values_; }
-  /// Moves the values out of a field that is done with them.
-  [[nodiscard]] std::vector<float> take_values() && {
-    return std::move(values_);
-  }
 
   [[nodiscard]] float at(std::span<const std::size_t> index) const {
     return values_[dims_.offset(index)];

@@ -54,8 +54,7 @@ Status NfsClient::write_chunks(const std::string& path, std::uint64_t offset,
 }
 
 Status NfsClient::FileStream::append(std::span<const std::uint8_t> data) {
-  const MutexLock lock{mu_};
-  const Status st = write_at_locked(offset_, data);
+  const Status st = write_at(offset_, data);
   if (st.is_ok()) {
     offset_ += data.size();
   }
@@ -64,12 +63,6 @@ Status NfsClient::FileStream::append(std::span<const std::uint8_t> data) {
 
 Status NfsClient::FileStream::write_at(std::uint64_t offset,
                                        std::span<const std::uint8_t> data) {
-  const MutexLock lock{mu_};
-  return write_at_locked(offset, data);
-}
-
-Status NfsClient::FileStream::write_at_locked(
-    std::uint64_t offset, std::span<const std::uint8_t> data) {
   const Status st = client_->write_chunks(path_, offset, data);
   if (st.is_ok()) {
     written_ += data.size();
@@ -79,7 +72,6 @@ Status NfsClient::FileStream::write_at_locked(
 }
 
 Status NfsClient::FileStream::finish() {
-  const MutexLock lock{mu_};
   auto stored = client_->server_.read_file(path_);
   if (!stored.has_value()) {
     return stored.status();

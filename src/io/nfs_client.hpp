@@ -18,7 +18,6 @@
 #include "io/link.hpp"
 #include "io/nfs_server.hpp"
 #include "support/status.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace lcp::io {
 
@@ -100,11 +99,8 @@ class NfsClient {
   /// the frame header — only known once the last slab is sealed — is
   /// back-patched at offset 0 with write_at(). All byte/RPC accounting
   /// lands on the owning client, and every RPC goes through the same
-  /// verified chunk loop as write_file.
-  ///
-  /// The stream's cursor state (offset, high-water mark, byte count) is
-  /// guarded by its own mutex so a future sharded writer can share one
-  /// stream; the owning client's counters remain single-writer.
+  /// verified chunk loop as write_file. One thread writes a stream at a
+  /// time (the streaming dump's sink sees one slab at a time).
   class FileStream {
    public:
     /// Writes `data` at the running offset and advances it.
@@ -119,31 +115,18 @@ class NfsClient {
     /// Verifies the server holds exactly the high-water mark of bytes.
     [[nodiscard]] Status finish();
 
-    [[nodiscard]] std::uint64_t offset() const {
-      const MutexLock lock{mu_};
-      return offset_;
-    }
-    [[nodiscard]] std::uint64_t bytes_written() const {
-      const MutexLock lock{mu_};
-      return written_;
-    }
+    [[nodiscard]] std::uint64_t bytes_written() const { return written_; }
 
    private:
     friend class NfsClient;
     FileStream(NfsClient& client, std::string path)
         : client_(&client), path_(std::move(path)) {}
 
-    /// Body shared by append/write_at; callers hold mu_.
-    Status write_at_locked(std::uint64_t offset,
-                           std::span<const std::uint8_t> data)
-        LCP_REQUIRES(mu_);
-
     NfsClient* client_;
     std::string path_;
-    mutable Mutex mu_;
-    std::uint64_t offset_ LCP_GUARDED_BY(mu_) = 0;      ///< next append position
-    std::uint64_t high_water_ LCP_GUARDED_BY(mu_) = 0;  ///< furthest byte written
-    std::uint64_t written_ LCP_GUARDED_BY(mu_) = 0;     ///< payload bytes sent
+    std::uint64_t offset_ = 0;      ///< next append position
+    std::uint64_t high_water_ = 0;  ///< furthest byte written
+    std::uint64_t written_ = 0;     ///< payload bytes sent
   };
 
   /// Opens a streaming writer for `path` (the file is created on the

@@ -15,8 +15,8 @@
 //
 // Compressed slab containers are not pooled: each one is a fresh vector
 // that the slab encode walk (compress::encode_slabs) hands to its sink,
-// which frames, ships or parks it. The slab copy each encode compresses
-// is pooled.
+// which frames, ships or parks it. Slabs are encoded straight from the
+// field's memory and decoded straight into the restored field's.
 //
 // Released buffers are poisoned (first kPoisonBytes overwritten with
 // kPoisonByte) so use-after-release reads deterministic garbage instead of

@@ -2,18 +2,23 @@
 // field bytes, every verdict (status text included), lost_elements and the
 // returned error — is the inline walk's, whatever the damage. A slab whose
 // container header claims more elements than its layout holds is rejected
-// at the header, before any codec runs.
+// at the header, before any codec runs. Slabs decode straight into the
+// field, so a slab whose codec fails partway reads zero again afterwards.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <initializer_list>
+#include <numeric>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include "compress/common/checkpoint.hpp"
 #include "compress/common/container.hpp"
+#include "compress/common/registry.hpp"
+#include "support/bytestream.hpp"
 #include "data/generators.hpp"
 #include "support/thread_pool.hpp"
 
@@ -232,6 +237,136 @@ TEST(DecodeSlabsTest, HostileElementClaimIsRejectedBeforeAnyCodecRuns) {
       << v.status.to_string();
   EXPECT_EQ(inline_walk->lost_elements, kChunk);
   EXPECT_EQ(inline_walk->recovered_slabs(), 3U);
+}
+
+/// `container` rebuilt around a payload its codec starts to decode and
+/// then rejects, so the codec writes part of its output before it fails.
+/// SZ: one more unpredictable value than the stream consumes (the whole
+/// slab is reconstructed, then the count check fails). ZFP: the bit stream
+/// cut to half its bytes (the leading blocks decode, then it runs out).
+std::vector<std::uint8_t> fails_partway(std::span<const std::uint8_t> container) {
+  const auto view = parse_container(container);
+  EXPECT_TRUE(view.has_value());
+  const auto payload = view->payload;
+  ByteWriter w;
+  if (view->codec == "sz") {
+    // The payload ends with the unpredictable count (u64) and its values.
+    std::size_t count = 0;
+    while (8 + 4 * count <= payload.size()) {
+      ByteReader r{payload.subspan(payload.size() - 4 * count - 8, 8)};
+      if (*r.read_u64() == count) {
+        break;
+      }
+      ++count;
+    }
+    EXPECT_LE(8 + 4 * count, payload.size());
+    const std::size_t at = payload.size() - 4 * count - 8;
+    w.write_bytes(payload.first(at));
+    w.write_u64(count + 1);
+    w.write_bytes(payload.subspan(at + 8));
+    w.write_u32(0);
+  } else {
+    EXPECT_EQ(view->codec, "zfp");
+    // version, q and guard bytes, then the bit stream's size and bytes.
+    const std::size_t kept = (payload.size() - 11) / 2;
+    w.write_bytes(payload.first(3));
+    w.write_u64(kept);
+    w.write_bytes(payload.subspan(11, kept));
+  }
+  return build_container(view->codec, view->bound, view->dims,
+                         view->field_name, w.finish());
+}
+
+/// Decodes the `codec` checkpoint of the NYX field with the slabs in
+/// `damaged` replaced by fails_partway copies, inline and on
+/// ThreadPool{3}, under `policy`. Checks both walks agree and returns the
+/// inline one and the clean walk.
+struct DamagedWalk {
+  RecoveryReport clean;
+  RecoveryReport damaged;
+};
+
+DamagedWalk walk_with_partial_failures(const std::string& codec,
+                                       const std::vector<std::size_t>& damaged,
+                                       const RecoveryPolicy& policy) {
+  CheckpointOptions opts = sz_options();
+  opts.codec = codec;
+  opts.bound = ErrorBound::absolute(1e-2);
+  const auto bytes = write_checkpoint(nyx_field(), opts);
+  EXPECT_TRUE(bytes.has_value());
+  const auto rec = recover_framed(*bytes);
+  EXPECT_TRUE(rec.has_value());
+  const SlabLayout layout = SlabLayout::of(nyx_field(), opts);
+  std::vector<std::vector<std::uint8_t>> broken(layout.slab_count());
+  for (const std::size_t s : damaged) {
+    broken[s] = fails_partway(rec->chunks.at(s + 1).payload);
+    // The codec really writes into the span before it fails.
+    std::vector<float> scratch(layout.slab_elements(s), -7.0F);
+    EXPECT_FALSE(decompress_any_into(broken[s], scratch).is_ok()) << s;
+    EXPECT_NE(std::count(scratch.begin(), scratch.end(), -7.0F),
+              static_cast<std::ptrdiff_t>(scratch.size()))
+        << "slab " << s << " decode failed before writing";
+  }
+  const auto source = [&](bool use_broken) -> SlabSource {
+    return [&, use_broken](std::size_t s) {
+      const auto& chunk = rec->chunks.at(s + 1);
+      SlabBytes slab{static_cast<std::uint32_t>(s + 1), chunk.state,
+                     chunk.status, chunk.payload, {}};
+      if (use_broken && !broken[s].empty()) {
+        slab.bytes = broken[s];
+      }
+      return slab;
+    };
+  };
+  auto clean = decode_slabs(layout, source(false), policy);
+  auto inline_walk = decode_slabs(layout, source(true), policy);
+  ThreadPool pool{3};
+  expect_same_walk(decode_slabs(layout, source(true), policy, &pool),
+                   inline_walk, codec + " on 3 workers");
+  EXPECT_TRUE(clean.has_value());
+  EXPECT_TRUE(inline_walk.has_value());
+  return {std::move(*clean), std::move(*inline_walk)};
+}
+
+TEST(DecodeSlabsTest, SlabThatFailsPartwayReadsZeroAndTheRestIsUntouched) {
+  std::vector<std::size_t> every(35);
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  // Two damaged slabs under the zero fill, then every slab lost, where
+  // interpolate_lost_regions leaves the zero fill standing too.
+  const std::vector<std::pair<std::vector<std::size_t>, RecoveryFill>> cases{
+      {{5, 21}, RecoveryFill::kZero},
+      {every, RecoveryFill::kZero},
+      {every, RecoveryFill::kInterpolate}};
+  for (const std::string codec : {"sz", "zfp"}) {
+    for (const auto& [damaged, fill] : cases) {
+      SCOPED_TRACE(codec + ", " + std::to_string(damaged.size()) +
+                   " damaged, fill " + std::to_string(static_cast<int>(fill)));
+      RecoveryPolicy policy;
+      policy.fill = fill;
+      const DamagedWalk w = walk_with_partial_failures(codec, damaged, policy);
+      ASSERT_TRUE(w.clean.complete());
+      EXPECT_EQ(w.damaged.recovered_slabs(), 35U - damaged.size());
+      const auto got = w.damaged.field.values();
+      const auto want = w.clean.field.values();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t s = 0; s < w.damaged.slabs.size(); ++s) {
+        const SlabVerdict& v = w.damaged.slabs[s];
+        const auto range = got.subspan(v.element_offset, v.element_count);
+        if (std::find(damaged.begin(), damaged.end(), s) != damaged.end()) {
+          EXPECT_FALSE(v.recovered);
+          EXPECT_EQ(v.frame_state, ChunkState::kIntact);
+          EXPECT_TRUE(std::all_of(range.begin(), range.end(),
+                                  [](float x) { return x == 0.0F; }))
+              << "slab " << s;
+        } else {
+          EXPECT_EQ(std::memcmp(range.data(), want.data() + v.element_offset,
+                                range.size_bytes()),
+                    0)
+              << "slab " << s;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

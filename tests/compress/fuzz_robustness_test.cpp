@@ -3,10 +3,17 @@
 // truncated streams of every length are fed in, and random garbage is
 // routed through decompress_any. Decoders may either fail cleanly or
 // (when a flip lands in a don't-care byte) succeed; what they may not do
-// is violate memory safety or return a mis-sized field.
+// is violate memory safety or return a mis-sized field. Every input whose
+// container header parses is also decoded straight into a span of the
+// header's size, which must give the allocating decode's verdict and, on
+// success, its values bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "compress/common/container.hpp"
 #include "compress/common/registry.hpp"
 #include "data/generators.hpp"
 #include "support/rng.hpp"
@@ -20,6 +27,55 @@ std::vector<std::uint8_t> small_container(CodecId id) {
   auto compressed = codec->compress(field, ErrorBound::absolute(1e-2));
   EXPECT_TRUE(compressed.has_value());
   return compressed->container;
+}
+
+/// When `bytes` has a container header that parses, decodes it with
+/// `into` into a span of the header's element count and checks the
+/// verdict (status text included) and values against `whole`. The span is
+/// not zero-filled, so a hostile claim costs only the pages the decoder
+/// writes.
+template <typename Whole, typename Into>
+void expect_into_agrees(std::span<const std::uint8_t> bytes, Whole&& whole,
+                        Into&& into, const std::string& label) {
+  const auto header = parse_container(bytes);
+  if (!header) {
+    return;
+  }
+  const auto want = whole(bytes);
+  const std::size_t n = header->dims.element_count();
+  const auto buf = std::make_unique_for_overwrite<float[]>(n);
+  const Status got = into(bytes, std::span<float>{buf.get(), n});
+  ASSERT_EQ(got.is_ok(), want.has_value()) << label << ": " << got.to_string();
+  if (!want) {
+    EXPECT_EQ(got.to_string(), want.status().to_string()) << label;
+    return;
+  }
+  ASSERT_EQ(want->field.element_count(), n) << label;
+  EXPECT_EQ(std::memcmp(buf.get(), want->field.values().data(),
+                        n * sizeof(float)),
+            0)
+      << label;
+}
+
+/// expect_into_agrees for one codec's decompress and decompress_into.
+void expect_codec_into_agrees(const Compressor& codec,
+                              std::span<const std::uint8_t> bytes,
+                              const std::string& label) {
+  expect_into_agrees(
+      bytes, [&](auto b) { return codec.decompress(b); },
+      [&](auto b, std::span<float> out) {
+        return codec.decompress_into(b, out);
+      },
+      label);
+}
+
+/// expect_into_agrees for decompress_any and decompress_any_into.
+void expect_any_into_agrees(std::span<const std::uint8_t> bytes,
+                            const std::string& label) {
+  expect_into_agrees(
+      bytes, [](auto b) { return decompress_any(b); },
+      [](auto b, std::span<float> out) { return decompress_any_into(b, out); },
+      label);
 }
 
 class FuzzRobustnessTest : public ::testing::TestWithParam<CodecId> {};
@@ -37,6 +93,8 @@ TEST_P(FuzzRobustnessTest, EveryeSingleByteFlipIsHandled) {
       // A successful decode must still be structurally sane.
       EXPECT_LE(decoded->field.element_count(), 4u * expected_elements) << i;
     }
+    expect_codec_into_agrees(*codec, mutated, "flip " + std::to_string(i));
+    expect_any_into_agrees(mutated, "any, flip " + std::to_string(i));
   }
 }
 
@@ -51,6 +109,7 @@ TEST_P(FuzzRobustnessTest, EveryTruncationLengthIsHandled) {
     const auto decoded = codec->decompress(cut);
     EXPECT_FALSE(decoded.has_value()) << "truncation to " << len
                                       << " bytes decoded successfully";
+    expect_codec_into_agrees(*codec, cut, "cut " + std::to_string(len));
   }
 }
 
@@ -63,6 +122,8 @@ TEST_P(FuzzRobustnessTest, RandomGarbageNeverCrashes) {
       b = static_cast<std::uint8_t>(rng.next_u64());
     }
     (void)codec->decompress(garbage);  // must simply return
+    expect_codec_into_agrees(*codec, garbage,
+                             "garbage " + std::to_string(trial));
   }
 }
 
@@ -79,6 +140,9 @@ TEST_P(FuzzRobustnessTest, ValidHeaderCorruptPayloadIsHandled) {
       }
     }
     (void)codec->decompress(mutated);
+    expect_codec_into_agrees(*codec, mutated,
+                             "scrambled " + std::to_string(trial));
+    expect_any_into_agrees(mutated, "any, scrambled " + std::to_string(trial));
   }
 }
 
@@ -96,6 +160,7 @@ TEST(FuzzRobustnessTest, DecompressAnyOnRandomInput) {
       b = static_cast<std::uint8_t>(rng.next_u64());
     }
     EXPECT_FALSE(decompress_any(garbage).has_value());
+    expect_any_into_agrees(garbage, "garbage " + std::to_string(trial));
   }
 }
 
@@ -111,6 +176,7 @@ TEST(FuzzRobustnessTest, DecompressAnyWithSpoofedCodecName) {
   ASSERT_EQ(bytes[10], 'z');
   bytes[9] = 'q';
   EXPECT_FALSE(decompress_any(bytes).has_value());
+  expect_any_into_agrees(bytes, "spoofed codec");
 }
 
 }  // namespace
