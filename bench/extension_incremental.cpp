@@ -45,12 +45,13 @@ using namespace lcp;
 /// the dirty region of one generation.
 data::Field touch_region(const data::Field& field, std::size_t offset,
                          std::size_t count, float delta) {
-  std::vector<float> values(field.values().begin(), field.values().end());
+  data::Field touched = field;
+  const auto values = touched.mutable_values();
   const std::size_t end = std::min(values.size(), offset + count);
   for (std::size_t i = offset; i < end; ++i) {
     values[i] += delta;
   }
-  return data::Field{field.name(), field.dims(), std::move(values)};
+  return touched;
 }
 
 /// Reference decode: what the classic checkpoint pipeline would hand back

@@ -14,7 +14,10 @@
 // keyed by (op, workers, dispatch) — an existing record with the same key
 // is replaced in place, unknown keys are preserved, new keys are appended
 // — so one bench run never wipes another's rows, and scalar rows survive
-// an AVX2-host run (and vice versa).
+// an AVX2-host run (and vice versa). Every row a run writes is stamped
+// with the source it was built from (git SHA, or a digest of the source
+// trees outside a repository), the host, its CPU count and the build
+// type.
 //
 // SIMD discipline: every vectorized kernel runs as a scalar/avx2 pair
 // (interleaved, best-of-N — this host is a noisy shared VM and min-of-
@@ -25,6 +28,13 @@
 //   every other paired kernel (support/crc32c and support/fnv1a64_many
 //     among them): avx2 never worse than scalar beyond a 0.85x noise
 //     tolerance
+//   support/crc32c_one_stream: the one-chain SSE4.2 kernel the avx2 level
+//     ran before three chains; the same CRC at every scale, and at full
+//     scale support/crc32c at avx2 >= 2x its speed
+//   framing/read_framed: the strict frame walk on the NYX 128^3 SZ 1e-2
+//     checkpoint frame against a two-pass reference walk on the
+//     reference kernel; the same chunks at every scale, and at full scale
+//     at avx2 read_framed <= 0.5x the reference's time
 //   identity: paired outputs bit-identical across dispatch levels
 //   zfp/{encode,decode}_planes{_n4,_n16,}: the plane coder has no
 //     dispatch, so each block size runs once; encoded bytes must equal the
@@ -75,12 +85,23 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 #include "compress/common/checkpoint.hpp"
+#include "compress/common/framing.hpp"
 #include "compress/lossless/shuffle_codec.hpp"
 #include "compress/sz/huffman.hpp"
 #include "compress/sz/pipeline.hpp"
@@ -113,6 +134,15 @@ std::string current_dispatch_name() {
   return lcp::simd::simd_level_name(lcp::simd::simd_level());
 }
 
+/// Where a row was measured: the source it was built from, the host and
+/// its CPU count, and the build type.
+struct Stamp {
+  std::string source;  // "git:<sha>[-dirty]", else "fnv1a64:<digest>"
+  std::string host;
+  std::size_t nproc = 0;
+  std::string build_type;
+};
+
 struct BenchRecord {
   std::string op;
   double ns_per_op = 0.0;
@@ -120,9 +150,88 @@ struct BenchRecord {
   std::size_t workers = 0;     // 0 for single-threaded kernels
   std::string dispatch;        // simd level the op ran at ("scalar"/"avx2")
   std::size_t compute_threads = 0;  // threads the op computed on; 0 = unset
+  Stamp stamp;                 // empty on rows written before stamping
 };
 
 std::vector<BenchRecord> g_records;
+
+/// stdout of `command`, trailing newline dropped; empty when it fails.
+std::string command_output(const std::string& command) {
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return {};
+  }
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    out += buf;
+  }
+  if (::pclose(pipe) != 0) {
+    return {};
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+/// The git commit of the source tree (suffixed -dirty when tracked files
+/// under src/, bench/ or tests/ differ from it; the bench includes test
+/// oracles), or outside a repository an FNV-1a 64 digest of every file's
+/// path and bytes under those three trees.
+std::string source_id() {
+  const std::string root = LCP_SOURCE_DIR;
+  const std::string git = "git -C '" + root + "' ";
+  const std::string sha = command_output(git + "rev-parse HEAD 2>/dev/null");
+  if (!sha.empty()) {
+    const std::string changes = command_output(
+        git + "status --porcelain --untracked-files=no -- src bench tests "
+              "2>/dev/null");
+    return "git:" + sha + (changes.empty() ? "" : "-dirty");
+  }
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const char* top : {"src", "bench", "tests"}) {
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it{fs::path{root} / top, ec}, end;
+         !ec && it != end; it.increment(ec)) {
+      if (it->is_regular_file(ec)) {
+        files.push_back(it->path());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::uint64_t digest = lcp::kFnv1a64Init;
+  for (const auto& path : files) {
+    const std::string rel = fs::relative(path, root).generic_string();
+    digest = lcp::fnv1a64_update(
+        digest, {reinterpret_cast<const std::uint8_t*>(rel.data()), rel.size()});
+    std::ifstream in{path, std::ios::binary};
+    const std::vector<char> bytes{std::istreambuf_iterator<char>{in}, {}};
+    digest = lcp::fnv1a64_update(
+        digest, {reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                 bytes.size()});
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
+  return std::string{"fnv1a64:"} + hex;
+}
+
+/// This run's stamp, put on every row it writes.
+const Stamp& run_stamp() {
+  static const Stamp stamp = [] {
+    Stamp s;
+    s.source = source_id();
+    char host[256] = {};
+    if (::gethostname(host, sizeof(host) - 1) == 0) {
+      s.host = host;
+    }
+    s.nproc = std::thread::hardware_concurrency();
+    s.build_type = LCP_BUILD_TYPE;
+    return s;
+  }();
+  return stamp;
+}
 
 void push_record(const std::string& op, double ns_per_op, std::size_t bytes,
                  std::size_t iters, std::size_t workers,
@@ -133,6 +242,7 @@ void push_record(const std::string& op, double ns_per_op, std::size_t bytes,
   rec.workers = workers;
   rec.dispatch = dispatch;
   rec.compute_threads = compute_threads;
+  rec.stamp = run_stamp();
   if (bytes > 0 && ns_per_op > 0.0) {
     rec.bytes_per_sec = static_cast<double>(bytes) / (ns_per_op * 1e-9);
   }
@@ -310,43 +420,62 @@ ReferenceTimes run_with_reference(const std::string& op, std::size_t reps,
   return times;
 }
 
-/// Parses records previously written by write_json. Best-effort: a line
-/// that does not match the record shape is skipped. Records from before
-/// the dispatch field keep an empty dispatch key.
+/// The value of `"key": ` in one record line, without quotes; nullopt
+/// when the line has no such key.
+std::optional<std::string> record_field(const std::string& line,
+                                        const std::string& key) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) {
+    return std::nullopt;
+  }
+  std::size_t begin = at + tag.size();
+  std::size_t end = 0;
+  if (begin < line.size() && line[begin] == '"') {
+    ++begin;
+    end = line.find('"', begin);
+  } else {
+    end = line.find_first_of(",}", begin);
+  }
+  if (end == std::string::npos) {
+    return std::nullopt;
+  }
+  return line.substr(begin, end - begin);
+}
+
+/// Parses records previously written by write_json, one per line.
+/// Best-effort: a line without an op and a time is skipped. Records from
+/// before the dispatch field keep an empty dispatch key, and records from
+/// before stamping an empty stamp.
 std::vector<BenchRecord> load_existing(const std::string& path) {
   std::vector<BenchRecord> records;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return records;
-  }
-  char line[512];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char op[256];
-    char dispatch[64];
-    double ns = 0.0;
-    double bps = 0.0;
-    unsigned long long workers = 0;
-    unsigned long long threads = 0;
-    const int fields = std::sscanf(
-        line,
-        " { \"op\" : \"%255[^\"]\" , \"ns_per_op\" : %lf , "
-        "\"bytes_per_sec\" : %lf , \"workers\" : %llu , "
-        "\"dispatch\" : \"%63[^\"]\" , \"compute_threads\" : %llu",
-        op, &ns, &bps, &workers, dispatch, &threads);
-    if (fields >= 5) {
-      records.push_back(BenchRecord{op, ns, bps,
-                                    static_cast<std::size_t>(workers),
-                                    dispatch,
-                                    static_cast<std::size_t>(threads)});
-    } else if (std::sscanf(line,
-                           " { \"op\" : \"%255[^\"]\" , \"ns_per_op\" : %lf , "
-                           "\"bytes_per_sec\" : %lf , \"workers\" : %llu",
-                           op, &ns, &bps, &workers) == 4) {
-      records.push_back(BenchRecord{op, ns, bps,
-                                    static_cast<std::size_t>(workers), ""});
+  std::ifstream in{path};
+  std::string line;
+  const auto number = [&line](const char* key) {
+    const auto text = record_field(line, key);
+    return text ? std::strtod(text->c_str(), nullptr) : 0.0;
+  };
+  const auto text = [&line](const char* key) {
+    return record_field(line, key).value_or("");
+  };
+  while (std::getline(in, line)) {
+    const auto op = record_field(line, "op");
+    if (!op || !record_field(line, "ns_per_op")) {
+      continue;
     }
+    BenchRecord rec;
+    rec.op = *op;
+    rec.ns_per_op = number("ns_per_op");
+    rec.bytes_per_sec = number("bytes_per_sec");
+    rec.workers = static_cast<std::size_t>(number("workers"));
+    rec.dispatch = text("dispatch");
+    rec.compute_threads = static_cast<std::size_t>(number("compute_threads"));
+    rec.stamp.source = text("source");
+    rec.stamp.host = text("host");
+    rec.stamp.nproc = static_cast<std::size_t>(number("nproc"));
+    rec.stamp.build_type = text("build_type");
+    records.push_back(std::move(rec));
   }
-  std::fclose(f);
   return records;
 }
 
@@ -386,6 +515,13 @@ void write_json(const std::string& path) {
                  r.dispatch.c_str());
     if (r.compute_threads > 0) {
       std::fprintf(f, ", \"compute_threads\": %zu", r.compute_threads);
+    }
+    if (!r.stamp.source.empty()) {
+      std::fprintf(f,
+                   ", \"source\": \"%s\", \"host\": \"%s\", "
+                   "\"nproc\": %zu, \"build_type\": \"%s\"",
+                   r.stamp.source.c_str(), r.stamp.host.c_str(), r.stamp.nproc,
+                   r.stamp.build_type.c_str());
     }
     std::fprintf(f, "}%s\n", i + 1 < merged.size() ? "," : "");
   }
@@ -734,6 +870,39 @@ void bench_zlite(bool quick, std::vector<std::string>& failures) {
                 "from the input planes");
 }
 
+#if defined(__x86_64__)
+/// The one-chain SSE4.2 CRC32C kernel the AVX2 level ran before it ran
+/// three chains: one `crc32` per 8-byte word on one dependency chain. Only
+/// called when the host reaches kAvx2, which requires SSE4.2.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_one_stream(
+    std::uint32_t state, std::span<const std::uint8_t> data) {
+  std::uint64_t crc = state;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data.data() + i, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; i < data.size(); ++i) {
+    crc32 = _mm_crc32_u8(crc32, data[i]);
+  }
+  return crc32;
+}
+#endif
+
+/// The CRC32C update the reference rows run: at kAvx2 the one-chain
+/// kernel, at kScalar the library's portable slice-by-4 one.
+std::uint32_t reference_crc32c_update(std::uint32_t state,
+                                      std::span<const std::uint8_t> data) {
+#if defined(__x86_64__)
+  if (lcp::simd::simd_level() >= lcp::simd::SimdLevel::kAvx2) {
+    return crc32c_one_stream(state, data);
+  }
+#endif
+  return lcp::crc32c_update(state, data);
+}
+
 void bench_checksums(bool quick, std::vector<std::string>& failures) {
   // One 8 MiB stream for CRC32C (a raw NYX 128^3 field), and the same
   // bytes cut into 128 KiB slab views plus a ragged tail for the store's
@@ -747,12 +916,54 @@ void bench_checksums(bool quick, std::vector<std::string>& failures) {
   }
 
   std::uint32_t crc = 0;
-  const auto c = run_paired("support/crc32c", quick ? 5 : 9, n,
+  const std::size_t crc_reps = quick ? 5 : 9;
+  const auto c = run_paired("support/crc32c", crc_reps, n,
                             [&] { crc = lcp::crc32c(bytes); });
   gate_never_worse(failures, "support/crc32c", c);
   {
     lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kScalar};
     gate_identity(failures, "support/crc32c", lcp::crc32c(bytes) == crc);
+  }
+  if (c.has_simd) {
+    // The three-chain kernel against the one-chain kernel it replaced, both
+    // at kAvx2, interleaved rep by rep.
+    lcp::simd::ScopedSimdLevel guard{lcp::simd::SimdLevel::kAvx2};
+    std::uint32_t one = 0;
+    double best[2] = {0.0, 0.0};
+    for (std::size_t rep = 0; rep <= crc_reps; ++rep) {  // rep 0 warms up
+      for (std::size_t k = 0; k < 2; ++k) {
+        const auto start = Clock::now();
+        if (k == 0) {
+          crc = lcp::crc32c(bytes);
+        } else {
+          one = lcp::crc32c_finish(
+              reference_crc32c_update(lcp::kCrc32cInit, bytes));
+        }
+        const double ns =
+            std::chrono::duration<double, std::nano>(Clock::now() - start)
+                .count();
+        if (rep > 0 && (best[k] == 0.0 || ns < best[k])) {
+          best[k] = ns;
+        }
+      }
+    }
+    push_record("support/crc32c_one_stream", best[1], n, crc_reps, 0,
+                current_dispatch_name());
+    gate_identity(failures, "support/crc32c", one == crc,
+                  "from the one-stream kernel");
+    const double speedup = best[1] / best[0];
+    std::printf("  support/crc32c: avx2 %.2fx the one-stream kernel\n",
+                speedup);
+    // Full scale only, like the team gates: --quick runs beside the rest of
+    // the suite.
+    if (!quick && speedup < 2.0) {
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "support/crc32c avx2 %.2fx the one-stream kernel "
+                    "(gate 2x)",
+                    speedup);
+      failures.emplace_back(buf);
+    }
   }
 
   constexpr std::size_t kSlabBytes = std::size_t{128} << 10;
@@ -1004,6 +1215,121 @@ void bench_dump_write(bool quick, std::vector<std::string>& failures) {
   }
 }
 
+/// The strict frame walk as it ran before each payload byte was hashed
+/// once: per chunk one CRC pass over (seq, length, payload) for the chunk
+/// CRC and a second over the payload for the whole-payload CRC, both on
+/// reference_crc32c_update. Checks what read_framed checks and returns the
+/// chunk payloads, or nothing when the frame fails a check.
+std::optional<std::vector<std::span<const std::uint8_t>>> two_pass_walk(
+    std::span<const std::uint8_t> frame) {
+  using lcp::compress::kChunkHeaderBytes;
+  using lcp::compress::kFrameHeaderBytes;
+  using lcp::compress::kFrameTrailerBytes;
+  const auto u32 = [&frame](std::size_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, frame.data() + at, sizeof(v));
+    return v;
+  };
+  const auto u64 = [&frame](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, frame.data() + at, sizeof(v));
+    return v;
+  };
+  if (frame.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
+    return std::nullopt;
+  }
+  const std::size_t body_end = frame.size() - kFrameTrailerBytes;
+  // Header and trailer: CRC-valid records with the same 28-byte body.
+  for (const std::size_t at : {std::size_t{0}, body_end}) {
+    if (lcp::crc32c(frame.subspan(at + 4, 28)) != u32(at + 32) ||
+        std::memcmp(frame.data() + 4, frame.data() + at + 4, 28) != 0) {
+      return std::nullopt;
+    }
+  }
+  const std::uint32_t chunk_count = u32(8);
+  std::vector<std::span<const std::uint8_t>> payloads;
+  payloads.reserve(chunk_count);
+  std::uint32_t payload_state = lcp::kCrc32cInit;
+  std::uint64_t payload_bytes = 0;
+  std::size_t pos = kFrameHeaderBytes;
+  for (std::uint32_t seq = 0; seq < chunk_count; ++seq) {
+    if (body_end - pos < kChunkHeaderBytes || u32(pos + 4) != seq) {
+      return std::nullopt;
+    }
+    const std::uint32_t length = u32(pos + 8);
+    if (length > body_end - pos - kChunkHeaderBytes) {
+      return std::nullopt;
+    }
+    const auto head = frame.subspan(pos + 4, 8);
+    const auto payload = frame.subspan(pos + kChunkHeaderBytes, length);
+    const std::uint32_t chunk_crc = lcp::crc32c_finish(reference_crc32c_update(
+        reference_crc32c_update(lcp::kCrc32cInit, head), payload));
+    if (chunk_crc != u32(pos + 12)) {
+      return std::nullopt;
+    }
+    payload_state = reference_crc32c_update(payload_state, payload);
+    payload_bytes += length;
+    payloads.push_back(payload);
+    pos += kChunkHeaderBytes + length;
+  }
+  if (pos != body_end || payload_bytes != u64(20) ||
+      lcp::crc32c_finish(payload_state) != u32(28)) {
+    return std::nullopt;
+  }
+  return payloads;
+}
+
+/// read_framed, the one strict frame walk, on the NYX 128^3 SZ 1e-2
+/// checkpoint frame (the ckpt_stream frame) against two_pass_walk at the
+/// same dispatch level, interleaved. Both must accept the frame and find
+/// the same chunk payloads. At full scale and kAvx2 read_framed must take
+/// at most half the reference's time: it hashes each payload byte once, on
+/// three chains.
+void bench_read_framed(bool quick, std::vector<std::string>& failures) {
+  const std::size_t side = quick ? 64 : 128;
+  const auto field = lcp::data::generate_nyx(side, 3);
+  lcp::compress::CheckpointOptions opts;
+  opts.codec = "sz";
+  opts.bound = lcp::compress::ErrorBound::absolute(1e-2);
+  const auto frame = lcp::compress::write_checkpoint(field, opts);
+  LCP_REQUIRE(frame.has_value(), "write_checkpoint failed in frame bench");
+
+  std::size_t chunks = 0;
+  std::size_t reference_chunks = 0;
+  const auto t = run_with_reference(
+      "framing/read_framed", quick ? 5 : 15, frame->size(),
+      [&] {
+        const auto rec = lcp::compress::read_framed(*frame);
+        LCP_REQUIRE(rec.has_value(), "read_framed failed in frame bench");
+        chunks = rec->chunks.size();
+      },
+      [&] {
+        const auto payloads = two_pass_walk(*frame);
+        LCP_REQUIRE(payloads.has_value(), "reference walk rejected the frame");
+        reference_chunks = payloads->size();
+      });
+  const auto rec = lcp::compress::read_framed(*frame);
+  const auto payloads = two_pass_walk(*frame);
+  bool same = rec.has_value() && payloads.has_value() &&
+              chunks == reference_chunks && rec->chunks.size() == chunks;
+  for (std::size_t i = 0; same && i < chunks; ++i) {
+    same = rec->chunks[i].payload.data() == (*payloads)[i].data() &&
+           rec->chunks[i].payload.size() == (*payloads)[i].size();
+  }
+  gate_identity(failures, "framing/read_framed", same,
+                "from the two-pass reference walk");
+  const double ratio = t.library_ns / t.reference_ns;
+  if (!quick && lcp::simd::simd_level() >= lcp::simd::SimdLevel::kAvx2 &&
+      ratio > 0.5) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "framing/read_framed takes %.2fx the two-pass reference "
+                  "walk (gate 0.5x at avx2)",
+                  ratio);
+    failures.emplace_back(buf);
+  }
+}
+
 /// read_checkpoint of NYX 96^3 (SZ 1e-2, default slab size) on the shared
 /// team against the same walk inline on the calling thread. Both rows run
 /// read_framed, the one strict frame walk (chunk CRCs and the
@@ -1156,6 +1482,7 @@ void bench_eqn3_crossover(bool quick, std::vector<std::string>& failures) {
     rec.op = "eqn3/crossover";
     rec.bytes_per_sec = bstar[l] * 1e9 / 8.0;
     rec.dispatch = lcp::simd::simd_level_name(levels[l]);
+    rec.stamp = run_stamp();
     g_records.push_back(rec);
     std::printf("%-34s  B* = %.2f Gbit/s  (%.2f GB/s codec, ratio %.3f) [%s]\n",
                 "eqn3/crossover", bstar[l], throughput[l], ratio[l],
@@ -1229,6 +1556,7 @@ int main(int argc, char** argv) {
   bench_shuffle(quick, failures);
   bench_zlite(quick, failures);
   bench_checksums(quick, failures);
+  bench_read_framed(quick, failures);
   bench_zfp_planes(quick, failures);
   bench_streaming_dump(quick, failures);
   bench_dump_write(quick, failures);

@@ -329,7 +329,11 @@ Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
   RecoveryReport report;
   report.total_elements = n;
   report.slabs.resize(layout.slab_count());
-  std::vector<float> out(n, 0.0F);
+  // Allocated for overwrite: each slab body below writes every element of
+  // its range, decoded values or zeros for a lost slab, so the field is
+  // written once and lost slabs read zero before the fill policy runs.
+  auto field = data::Field::for_overwrite(layout.field_name, layout.dims);
+  const std::span<float> out = field.mutable_values();
 
   // One body per slab: it touches only its own verdict and its own range
   // of `out`, so the bodies may run in any order on any thread.
@@ -337,19 +341,20 @@ Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
     SlabVerdict& v = report.slabs[s];
     v.element_offset = layout.slab_offset(s);
     v.element_count = layout.slab_elements(s);
+    const std::span<float> range = out.subspan(v.element_offset,
+                                               v.element_count);
     SlabBytes supplied = source(s);
     v.chunk_seq = supplied.chunk_seq;
     v.frame_state = supplied.frame_state;
     if (supplied.frame_state != ChunkState::kIntact) {
+      std::fill(range.begin(), range.end(), 0.0F);
       v.status = std::move(supplied.status);
       return;
     }
     // Decoded in place: the header's element claim is checked against the
     // slab's range before any codec runs, so a hostile slab costs its
-    // bytes, not its claim. A decode that fails partway leaves the range
-    // zero again, as lost elements read before the fill policy runs.
-    const std::span<float> range{out.data() + v.element_offset,
-                                 v.element_count};
+    // bytes, not its claim. A decode that fails partway has written an
+    // unknown prefix of the range, so the whole range is zeroed.
     if (const Status st = decompress_any_into(supplied.bytes, range);
         !st.is_ok()) {
       std::fill(range.begin(), range.end(), 0.0F);
@@ -385,7 +390,7 @@ Expected<RecoveryReport> decode_slabs(const SlabLayout& layout,
   if (policy.fill == RecoveryFill::kInterpolate) {
     interpolate_lost_regions(out, regions);
   }
-  report.field = data::Field{layout.field_name, layout.dims, std::move(out)};
+  report.field = std::move(field);
   return report;
 }
 

@@ -194,7 +194,7 @@ struct SlabRegion {
 /// the surviving neighbor elements. Boundary clamp: a run at either end of
 /// the field has only one surviving neighbor and is held flat at that
 /// nearest neighbor's value (no extrapolation); a field with no surviving
-/// regions at all is left untouched (the caller's zero fill stands).
+/// regions at all is left untouched (decode_slabs' zeros stand).
 /// `regions` must be contiguous, in element order, and cover `out`.
 void interpolate_lost_regions(std::span<float> out,
                               std::span<const SlabRegion> regions);
@@ -222,8 +222,11 @@ using SlabSource = std::function<SlabBytes(std::size_t slab)>;
 /// `source` for every slab of `layout` and decodes it with
 /// decompress_any_into straight into its range of the field (one container
 /// parse; a header whose element count is not the slab's is rejected
-/// before any codec runs; a decode that fails partway leaves the range
-/// zero), recording each slab's verdict. Without a pool the slabs decode
+/// before any codec runs), recording each slab's verdict. The field is
+/// allocated for overwrite (Field::for_overwrite) and each slab's range is
+/// written once by the thread that walks it: decoded values, or zeros
+/// when the slab is lost at frame level or fails to decode partway.
+/// Without a pool the slabs decode
 /// inline on the caller's thread, in order; with one they decode on the
 /// workers and the caller. After every slab is walked (the walk never
 /// stops early) it counts lost elements in slab order, applies

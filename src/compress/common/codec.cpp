@@ -1,7 +1,7 @@
 #include "compress/common/codec.hpp"
 
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "compress/common/container.hpp"
 #include "support/timer.hpp"
@@ -66,17 +66,13 @@ Expected<DecompressResult> Compressor::decompress(
 Expected<DecompressResult> Compressor::decompress(
     const ContainerView& view) const {
   const Timer timer;
-  // Decoded into storage that is not zero-filled first, so a header that
-  // claims more elements than its payload holds costs only the pages the
-  // codec writes before it fails, not its claim. The field copies the
-  // values once the decode has succeeded.
-  const std::size_t n = view.dims.element_count();
-  const auto decoded = std::make_unique_for_overwrite<float[]>(n);
-  LCP_RETURN_IF_ERROR(decompress_into(view, {decoded.get(), n}));
-  return DecompressResult{
-      data::Field{view.field_name, view.dims,
-                  std::vector<float>(decoded.get(), decoded.get() + n)},
-      timer.elapsed()};
+  // Decoded straight into the returned field, whose storage is not
+  // zero-filled first: a header that claims more elements than its payload
+  // holds costs only the pages the codec writes before it fails, not its
+  // claim.
+  auto field = data::Field::for_overwrite(view.field_name, view.dims);
+  LCP_RETURN_IF_ERROR(decompress_into(view, field.mutable_values()));
+  return DecompressResult{std::move(field), timer.elapsed()};
 }
 
 Status Compressor::decompress_into(std::span<const std::uint8_t> container,

@@ -98,7 +98,8 @@ class Compressor {
       std::span<const float> values, const data::Dims& dims,
       const std::string& field_name, const ErrorBound& bound) const;
 
-  /// Decompresses a container produced by this codec into a new field.
+  /// Decompresses a container produced by this codec straight into a new
+  /// field, allocated for overwrite (no zero fill, no copy).
   [[nodiscard]] Expected<DecompressResult> decompress(
       std::span<const std::uint8_t> container) const;
   /// The same, for a container already parsed.

@@ -43,15 +43,15 @@ std::vector<std::uint8_t> header_body(const FrameInfo& info) {
   return w.finish();
 }
 
-/// CRC over one chunk's (seq, length, payload) — the chunk integrity unit.
+/// CRC over one chunk's (seq, length, payload) — the chunk integrity unit —
+/// from the payload's own CRC, so a walk that also needs the payload CRC
+/// (for the whole-payload check) hashes the payload bytes once.
 std::uint32_t chunk_crc(std::uint32_t seq, std::uint32_t length,
-                        std::span<const std::uint8_t> payload) noexcept {
+                        std::uint32_t payload_crc) noexcept {
   std::uint8_t head[8];
   store_u32(head, seq);
   store_u32(head + 4, length);
-  std::uint32_t state = crc32c_update(kCrc32cInit, {head, sizeof(head)});
-  state = crc32c_update(state, payload);
-  return crc32c_finish(state);
+  return crc32c_combine(crc32c({head, sizeof(head)}), payload_crc, length);
 }
 
 /// Parses a header/trailer record at `pos` and validates its CRC.
@@ -148,10 +148,11 @@ void FramedWriter::append_chunk(std::span<const std::uint8_t> data) {
   store_u32(head, kChunkMagic);
   store_u32(head + 4, seq);
   store_u32(head + 8, length);
-  store_u32(head + 12, chunk_crc(seq, length, data));
+  const std::uint32_t data_crc = crc32c(data);
+  store_u32(head + 12, chunk_crc(seq, length, data_crc));
   body_.insert(body_.end(), head, head + sizeof(head));
   body_.insert(body_.end(), data.begin(), data.end());
-  payload_crc_state_ = crc32c_update(payload_crc_state_, data);
+  payload_crc_ = crc32c_combine(payload_crc_, data_crc, length);
   payload_ += data.size();
   ++chunks_;
 }
@@ -168,7 +169,7 @@ FramedWriter::FrameTail FramedWriter::finish_streaming() {
   info.flags = flags_;
   info.chunk_count = chunks_;
   info.payload_bytes = payload_;
-  info.payload_crc = crc32c_finish(payload_crc_state_);
+  info.payload_crc = payload_crc_;
 
   const auto body = header_body(info);
   const std::uint32_t crc = crc32c(body);
@@ -245,7 +246,7 @@ Expected<FrameRecovery> read_framed(std::span<const std::uint8_t> bytes) {
   FrameRecovery rec;
   rec.info = *header;
   rec.chunks.resize(header->chunk_count);
-  std::uint32_t payload_crc_state = kCrc32cInit;
+  std::uint32_t payload_crc = 0;  // crc32c of no bytes
   std::uint64_t payload_bytes = 0;
   std::size_t pos = kFrameHeaderBytes;
   for (std::uint32_t seq = 0; seq < header->chunk_count; ++seq) {
@@ -266,13 +267,14 @@ Expected<FrameRecovery> read_framed(std::span<const std::uint8_t> bytes) {
           .with_context("chunk " + std::to_string(seq));
     }
     const auto payload = bytes.subspan(pos + kChunkHeaderBytes, length);
-    if (chunk_crc(seq, length, payload) != stored_crc) {
+    // One pass over the payload serves both checks: the chunk CRC and the
+    // whole-payload CRC are both combined from the payload's own CRC.
+    const std::uint32_t chunk_payload_crc = crc32c(payload);
+    if (chunk_crc(seq, length, chunk_payload_crc) != stored_crc) {
       return Status::corrupt_data("chunk crc mismatch")
           .with_context("chunk " + std::to_string(seq));
     }
-    // The whole-payload CRC runs chunk by chunk while the chunk is still
-    // in cache; the chunks are never concatenated.
-    payload_crc_state = crc32c_update(payload_crc_state, payload);
+    payload_crc = crc32c_combine(payload_crc, chunk_payload_crc, length);
     payload_bytes += length;
     ChunkReport& chunk = rec.chunks[seq];
     chunk.seq = seq;
@@ -286,7 +288,7 @@ Expected<FrameRecovery> read_framed(std::span<const std::uint8_t> bytes) {
   if (payload_bytes != header->payload_bytes) {
     return Status::corrupt_data("frame payload size mismatch");
   }
-  if (crc32c_finish(payload_crc_state) != header->payload_crc) {
+  if (payload_crc != header->payload_crc) {
     return Status::corrupt_data("frame payload crc mismatch");
   }
   return rec;
@@ -375,7 +377,7 @@ Expected<FrameRecovery> recover_framed(std::span<const std::uint8_t> bytes) {
       continue;
     }
     const auto payload = bytes.subspan(pos + kChunkHeaderBytes, length);
-    if (chunk_crc(seq, length, payload) != stored_crc) {
+    if (chunk_crc(seq, length, crc32c(payload)) != stored_crc) {
       if (rec.chunks[seq].state == ChunkState::kMissing) {
         rec.chunks[seq].state = ChunkState::kCorrupt;
         rec.chunks[seq].status =

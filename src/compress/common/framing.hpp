@@ -133,7 +133,7 @@ class FramedWriter {
   std::vector<std::uint8_t> body_;
   std::uint32_t chunks_ = 0;
   std::uint64_t payload_ = 0;
-  std::uint32_t payload_crc_state_ = kCrc32cInit;
+  std::uint32_t payload_crc_ = 0;  ///< crc32c of the payload so far
 };
 
 /// Bytes the frame adds on top of `payload_bytes` cut into chunks of

@@ -5,6 +5,7 @@
 
 #include "compress/common/container.hpp"
 #include "compress/sz/zlite.hpp"
+#include "support/buffer_pool.hpp"
 #include "support/bytestream.hpp"
 #include "support/dispatch.hpp"
 
@@ -86,14 +87,16 @@ Status ShuffleCodec::decode(const compress::ContainerView& view,
     return packed.status().with_context("lossless packed blob");
   }
   const std::size_t bytes = out.size_bytes();
-  auto shuffled = sz::zlite_decompress(*packed, bytes);
-  if (!shuffled) {
-    return shuffled.status().with_context("lossless payload");
+  ScratchLease<std::uint8_t> shuffled_lease;
+  auto& shuffled = shuffled_lease.get();
+  if (const Status st = sz::zlite_decompress_into(*packed, shuffled, bytes);
+      !st.is_ok()) {
+    return st.with_context("lossless payload");
   }
-  if (shuffled->size() != bytes) {
+  if (shuffled.size() != bytes) {
     return Status::corrupt_data("lossless: shuffled size mismatch");
   }
-  unshuffle_bytes(*shuffled, out);
+  unshuffle_bytes(shuffled, out);
   return Status::ok();
 }
 

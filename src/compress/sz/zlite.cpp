@@ -118,6 +118,14 @@ std::vector<std::uint8_t> zlite_compress(std::span<const std::uint8_t> input) {
 
 Expected<std::vector<std::uint8_t>> zlite_decompress(
     std::span<const std::uint8_t> input, std::uint64_t max_output) {
+  std::vector<std::uint8_t> out;
+  LCP_RETURN_IF_ERROR(zlite_decompress_into(input, out, max_output));
+  return out;
+}
+
+Status zlite_decompress_into(std::span<const std::uint8_t> input,
+                             std::vector<std::uint8_t>& out,
+                             std::uint64_t max_output) {
   std::size_t pos = 0;
   std::uint64_t total = 0;
   if (!read_varint(input, pos, total)) {
@@ -126,7 +134,7 @@ Expected<std::vector<std::uint8_t>> zlite_decompress(
   if (total > max_output) {
     return Status::corrupt_data("zlite: declared size exceeds limit");
   }
-  std::vector<std::uint8_t> out;
+  out.clear();
   out.reserve(static_cast<std::size_t>(total));
 
   while (true) {
@@ -184,7 +192,7 @@ Expected<std::vector<std::uint8_t>> zlite_decompress(
   if (out.size() != total) {
     return Status::corrupt_data("zlite: output size mismatch");
   }
-  return out;
+  return Status::ok();
 }
 
 }  // namespace lcp::sz

@@ -24,4 +24,10 @@ namespace lcp::sz {
 [[nodiscard]] Expected<std::vector<std::uint8_t>> zlite_decompress(
     std::span<const std::uint8_t> input, std::uint64_t max_output = UINT64_MAX);
 
+/// zlite_decompress into `out`, which is cleared first and keeps its
+/// capacity, so a pooled buffer that is large enough is not reallocated.
+[[nodiscard]] Status zlite_decompress_into(std::span<const std::uint8_t> input,
+                                           std::vector<std::uint8_t>& out,
+                                           std::uint64_t max_output = UINT64_MAX);
+
 }  // namespace lcp::sz

@@ -54,9 +54,19 @@ Field::Field(std::string name, Dims dims)
       values_(dims_.element_count(), 0.0F) {}
 
 Field::Field(std::string name, Dims dims, std::vector<float> values)
-    : name_(std::move(name)), dims_(std::move(dims)), values_(std::move(values)) {
+    : name_(std::move(name)),
+      dims_(std::move(dims)),
+      values_(values.begin(), values.end()) {
   LCP_REQUIRE(values_.size() == dims_.element_count(),
               "value count must match dims");
+}
+
+Field Field::for_overwrite(std::string name, Dims dims) {
+  Field field;
+  field.name_ = std::move(name);
+  field.dims_ = std::move(dims);
+  field.values_.resize(field.dims_.element_count());
+  return field;
 }
 
 Field::Range Field::value_range() const noexcept {

@@ -3,9 +3,12 @@
 // compression throughout lcpower (mirrors one SDRBench field file).
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,12 +52,51 @@ class Dims {
   std::vector<std::size_t> extents_;
 };
 
+/// std::allocator, except that a value-less construct() default-initializes:
+/// a vector sized through it leaves trivial elements unwritten, so the
+/// pages of a fresh buffer are touched only when something stores to them.
+template <typename T>
+struct DefaultInitAllocator {
+  using value_type = T;
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(  // NOLINT(google-explicit-constructor)
+      const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  /// The only construct() it has: a construction with arguments goes
+  /// through std::allocator_traits' default, std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+
+  friend bool operator==(const DefaultInitAllocator&,
+                         const DefaultInitAllocator&) noexcept {
+    return true;
+  }
+};
+
 /// Owning float32 n-D array plus a name for reporting.
 class Field {
  public:
   Field() = default;
+  /// Zero-filled.
   Field(std::string name, Dims dims);
+  /// Takes `values` (copied into the field's storage); the count must
+  /// match `dims`.
   Field(std::string name, Dims dims, std::vector<float> values);
+
+  /// A field whose values are left uninitialized, for a caller that
+  /// writes every element before anyone reads one (a decoder). No page is
+  /// touched until it is written.
+  [[nodiscard]] static Field for_overwrite(std::string name, Dims dims);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const Dims& dims() const noexcept { return dims_; }
@@ -88,7 +130,7 @@ class Field {
  private:
   std::string name_;
   Dims dims_;
-  std::vector<float> values_;
+  std::vector<float, DefaultInitAllocator<float>> values_;
 };
 
 /// Elementwise quality metrics between an original and its reconstruction.

@@ -44,7 +44,64 @@ constexpr Tables build_tables() {
 
 constexpr Tables kTables = build_tables();
 
+// Polynomials over GF(2) modulo the CRC polynomial, in the CRC's reflected
+// bit order: bit 31 is the coefficient of x^0, bit 0 that of x^31.
+constexpr std::uint32_t kOne = 0x80000000u;  // x^0
+
+/// v * x^32 modulo the polynomial: what four zero bytes do to a CRC state.
+constexpr std::uint32_t times_x32(std::uint32_t v) noexcept {
+  return kTables.t[3][v & 0xFFu] ^ kTables.t[2][(v >> 8) & 0xFFu] ^
+         kTables.t[1][(v >> 16) & 0xFFu] ^ kTables.t[0][v >> 24];
+}
+
+/// a * b modulo the polynomial. The carry-less 32x32 product, built four
+/// bits of `a` at a time from a table of b * {0..15}, puts x^k at bit
+/// 62 - k; after one more shift its high word holds x^0..x^31 and its low
+/// word x^32..x^62, both reflected, and the low word is folded back with
+/// one x^32 step.
+constexpr std::uint32_t multiply_mod(std::uint32_t a, std::uint32_t b) noexcept {
+  std::array<std::uint64_t, 16> b_times{};
+  for (std::size_t j = 1; j < b_times.size(); ++j) {
+    b_times[j] = (j & 1u) != 0 ? b_times[j - 1] ^ b : b_times[j / 2] << 1;
+  }
+  std::uint64_t product = 0;
+  for (int i = 0; i < 32; i += 4) {
+    product ^= b_times[(a >> i) & 0xFu] << i;
+  }
+  product <<= 1;
+  return static_cast<std::uint32_t>(product >> 32) ^
+         times_x32(static_cast<std::uint32_t>(product));
+}
+
+/// kZeroBytes[d][v] = x^(8 * v * 256^d) modulo the polynomial: appending
+/// v * 256^d zero bytes to a CRC state multiplies it by this. Row d starts
+/// from x^(8 * 256^d), the previous row's step raised to the 256th power.
+constexpr auto kZeroBytes = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> powers{};
+  std::uint32_t step = kOne >> 8;  // x^8
+  for (auto& row : powers) {
+    row[0] = kOne;
+    for (std::size_t v = 1; v < row.size(); ++v) {
+      row[v] = multiply_mod(row[v - 1], step);
+    }
+    step = multiply_mod(row[255], step);
+  }
+  return powers;
+}();
+
 }  // namespace
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) noexcept {
+  // crc_a * x^(8 * len_b), one multiplication per non-zero base-256 digit
+  // of len_b.
+  for (std::size_t digit = 0; len_b != 0; ++digit, len_b >>= 8) {
+    if ((len_b & 0xFFu) != 0) {
+      crc_a = multiply_mod(crc_a, kZeroBytes[digit][len_b & 0xFFu]);
+    }
+  }
+  return crc_a ^ crc_b;
+}
 
 std::uint32_t crc32c_update(std::uint32_t state,
                             std::span<const std::uint8_t> data) noexcept {

@@ -5,7 +5,8 @@
 // single-bit corruption within an RPC-sized chunk.
 //
 // Both checksums follow the SIMD dispatch level (support/dispatch.hpp):
-// at kAvx2 CRC32C runs on the SSE4.2 `crc32` instruction and
+// at kAvx2 CRC32C runs on the SSE4.2 `crc32` instruction (three
+// interleaved streams on long inputs, joined with crc32c_combine) and
 // fnv1a64_many hashes 8 inputs per pass in AVX2 lanes. The portable
 // twins (slice-by-4 tables, byte-serial FNV-1a) give the same values, so
 // every frame, journal and slab name is independent of the host.
@@ -30,6 +31,19 @@ inline constexpr std::uint32_t kCrc32cInit = 0xFFFFFFFFu;
 
 /// One-shot CRC32C of `data` ("123456789" -> 0xE3069283).
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::uint8_t> data) noexcept;
+
+/// CRC32C of a concatenation from its parts' CRCs:
+/// crc32c_combine(crc32c(a), crc32c(b), b.size()) == crc32c(a || b).
+/// The same identity holds for running crc32c_update states when `crc_b`
+/// is an update started from 0 instead of kCrc32cInit. Multiplies
+/// `crc_a` by x^(8 * len_b) modulo the polynomial: one carry-less
+/// multiplication per non-zero base-256 digit of len_b, by powers
+/// tabulated at compile time, so the cost is O(log len_b), touches no data
+/// byte and is the same at every dispatch level (a len_b below 256, or a
+/// power of two, costs one multiplication).
+[[nodiscard]] std::uint32_t crc32c_combine(std::uint32_t crc_a,
+                                           std::uint32_t crc_b,
+                                           std::uint64_t len_b) noexcept;
 
 // --- FNV-1a 64 --------------------------------------------------------------
 //

@@ -11,7 +11,9 @@
 namespace lcp::simd::avx2 {
 
 /// Feeds n bytes into a running (un-finished) CRC32C state with the
-/// SSE4.2 `crc32` instruction: 8-byte words, then a byte tail.
+/// SSE4.2 `crc32` instruction: three interleaved chains joined with
+/// crc32c_combine while the input is long, then 8-byte words on one chain,
+/// then a byte tail.
 [[nodiscard]] std::uint32_t crc32c_update(std::uint32_t state,
                                           const std::uint8_t* data,
                                           std::size_t n) noexcept;

@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace lcp::data {
 namespace {
@@ -40,6 +41,25 @@ TEST(FieldTest, ZeroInitializedConstruction) {
   EXPECT_EQ(f.size_bytes().bytes(), 80u);
   for (float v : f.values()) {
     EXPECT_EQ(v, 0.0F);
+  }
+}
+
+TEST(FieldTest, ForOverwriteIsSizedAndWritable) {
+  // The values are unspecified until written (the decode-allocation tests
+  // run on a poisoned heap to check that decoders write them all).
+  Field f = Field::for_overwrite("t", Dims::d2(3, 5));
+  EXPECT_EQ(f.name(), "t");
+  EXPECT_EQ(f.dims(), Dims::d2(3, 5));
+  EXPECT_EQ(f.element_count(), 15u);
+  EXPECT_EQ(f.size_bytes().bytes(), 60u);
+  for (std::size_t i = 0; i < 15; ++i) {
+    f.mutable_values()[i] = static_cast<float>(i);
+  }
+  const Field copy = f;
+  const Field moved = std::move(f);
+  for (std::size_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(copy.values()[i], static_cast<float>(i));
+    EXPECT_EQ(moved.values()[i], static_cast<float>(i));
   }
 }
 

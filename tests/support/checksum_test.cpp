@@ -179,6 +179,106 @@ TEST_P(Crc32cDispatchTest, ChainedUpdatesMatchOneShot) {
   }
 }
 
+TEST_P(Crc32cDispatchTest, ThreeStreamLengthsMatchBitwise) {
+  // Around the length where the AVX2 kernel switches to three chains, at
+  // lengths that leave every tail shape after the lanes, and at lengths
+  // that take several three-chain passes.
+  const auto data = seeded_bytes((std::size_t{1} << 20) + 4099, 47);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1500; n <= 1600; ++n) {
+    lengths.push_back(n);
+  }
+  for (std::size_t k = 9; k <= 14; ++k) {
+    for (const std::size_t base :
+         {std::size_t{3} << k, std::size_t{1} << (k + 2)}) {
+      for (std::size_t d = 0; d < 10; ++d) {
+        lengths.push_back(base - 5 + d);
+      }
+    }
+  }
+  lengths.push_back(data.size());
+  for (const std::size_t n : lengths) {
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{3}}) {
+      const std::span<const std::uint8_t> view{data.data() + offset,
+                                               std::min(n, data.size() - offset)};
+      ASSERT_EQ(crc32c(view), crc32c_bitwise(view))
+          << "offset " << offset << " length " << view.size();
+    }
+  }
+}
+
+TEST_P(Crc32cDispatchTest, CombineMatchesConcatenation) {
+  // crc32c_combine(crc(a), crc(b), |b|) == crc(a || b) over random splits,
+  // empty parts and short parts at either end, for inputs of 0 to 8 bytes,
+  // 4095 bytes and 1 Mi.
+  const auto data = seeded_bytes(std::size_t{1} << 20, 48);
+  Rng rng{49};
+  std::vector<std::size_t> totals{0, 1, 2, 3, 4, 5, 6, 7, 8, 4095,
+                                  std::size_t{1} << 20};
+  for (const std::size_t total : totals) {
+    const std::span<const std::uint8_t> whole{data.data(), total};
+    const std::uint32_t want = crc32c_bitwise(whole);
+    std::vector<std::size_t> splits{0, total};
+    for (std::size_t k = 1; k <= 8 && k <= total; ++k) {
+      splits.push_back(k);
+      splits.push_back(total - k);
+    }
+    for (int r = 0; r < 8 && total > 0; ++r) {
+      splits.push_back(rng.uniform_index(total + 1));
+    }
+    for (const std::size_t split : splits) {
+      const auto a = whole.first(split);
+      const auto b = whole.subspan(split);
+      ASSERT_EQ(crc32c_combine(crc32c(a), crc32c(b), b.size()), want)
+          << "total " << total << " split " << split;
+      // Running states: the second part started from 0, not kCrc32cInit.
+      const std::uint32_t state = crc32c_combine(
+          crc32c_update(kCrc32cInit, a), crc32c_update(0, b), b.size());
+      ASSERT_EQ(crc32c_finish(state), want)
+          << "total " << total << " split " << split << " (states)";
+    }
+  }
+}
+
+TEST_P(Crc32cDispatchTest, CombineOverManyPartsMatchesOneShot) {
+  // A whole-payload CRC folded chunk by chunk, as the frame walk does it.
+  const auto data = seeded_bytes(70000, 50);
+  Rng rng{51};
+  std::uint32_t folded = crc32c({});
+  std::size_t at = 0;
+  while (at < data.size()) {
+    const std::size_t take =
+        std::min(data.size() - at, rng.uniform_index(9000));
+    const std::span<const std::uint8_t> part{data.data() + at, take};
+    folded = crc32c_combine(folded, crc32c(part), take);
+    at += take;
+  }
+  EXPECT_EQ(folded, crc32c_bitwise(data));
+}
+
+TEST(Crc32cCombineTest, LengthsAddAcrossEveryDigit) {
+  // Appending m zero-CRC bytes and then n equals appending m + n, for
+  // lengths whose base-256 digits reach every power table row; and an
+  // empty second part leaves the first CRC as it is.
+  const std::uint32_t crc = 0x1234ABCDu;
+  EXPECT_EQ(crc32c_combine(crc, 0, 0), crc);
+  Rng rng{52};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t m = rng.next_u64() >> (trial % 64);
+    const std::uint64_t n = rng.next_u64() >> ((trial * 7) % 64);
+    if (m > UINT64_MAX - n) {
+      continue;
+    }
+    EXPECT_EQ(crc32c_combine(crc32c_combine(crc, 0, m), 0, n),
+              crc32c_combine(crc, 0, m + n))
+        << "m " << m << " n " << n;
+  }
+  // x^(8 * 2^61) * x^(8 * 2^61): the top digit rows compose too.
+  const std::uint64_t half = std::uint64_t{1} << 61;
+  EXPECT_EQ(crc32c_combine(crc32c_combine(crc, 0, half), 0, half),
+            crc32c_combine(crc, 0, 2 * half));
+}
+
 /// fnv1a64_many over `inputs` against the serial fnv1a64 of each.
 void expect_many_matches_serial(
     const std::vector<std::vector<std::uint8_t>>& inputs) {
